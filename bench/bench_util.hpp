@@ -32,15 +32,17 @@ inline bool smoke_run() {
 /// Append one record to the machine-readable perf-trajectory file.
 ///
 /// Records are JSON Lines (one object per line) so several bench binaries
-/// can append to the same file without coordinating. Default file:
-/// BENCH_pr4.json in the working directory; override with MPX_BENCH_JSON;
-/// set MPX_BENCH_JSON=off to disable emission.
+/// can append to the same file without coordinating. Emission is opt-in:
+/// records go to the file MPX_BENCH_JSON names, and nothing is written
+/// when it is unset, empty or "off" (a plain run never touches the
+/// checked-in trajectory files).
 inline void json_emit(
     const char* bench, const char* variant,
     std::initializer_list<std::pair<const char*, double>> metrics) {
   const char* path = std::getenv("MPX_BENCH_JSON");
-  if (path != nullptr && std::strcmp(path, "off") == 0) return;
-  if (path == nullptr || *path == '\0') path = "BENCH_pr4.json";
+  if (path == nullptr || *path == '\0' || std::strcmp(path, "off") == 0) {
+    return;
+  }
   std::FILE* f = std::fopen(path, "a");
   if (f == nullptr) return;
   std::fprintf(f, "{\"bench\":\"%s\",\"variant\":\"%s\"", bench, variant);

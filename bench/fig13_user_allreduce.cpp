@@ -4,9 +4,11 @@
 //
 // Series per payload size:
 //
-//   seed_rounds   the pre-compiler round-based builder
-//                 (coll::iallreduce_rounds), re-planning and re-allocating
-//                 its Sched on every call — the seed baseline.
+//   seed_rd       the seed baseline: recursive doubling re-planned and
+//                 re-allocated on every call (ir::Opts{Algo::rd,
+//                 use_cache = false}; MPX_COLL_ALGO=rd does the same
+//                 process-wide). Older BENCH_pr7.json rows carry this
+//                 series under its round-engine name.
 //   uncached      the schedule compiler forced to recompile per call
 //                 (ir::Opts{use_cache = false}): isolates compile cost.
 //   cached        the compiler's steady state: first call compiles into
@@ -15,12 +17,12 @@
 //   persistent    allreduce_init once, then start/wait cycles over the
 //                 pinned cursor — the paper's "user-level schedule"
 //                 endgame (§5.3) and the headline win condition: it must
-//                 match or beat seed_rounds at every point.
+//                 match or beat seed_rd at every point.
 //   user_rd       the original Listing 1.8 user-level recursive doubling
 //                 (int32+sum, in place, pow2 ranks), kept for continuity
 //                 with the paper's figure.
 //
-// Emits BENCH_pr7.json rows (override with MPX_BENCH_JSON):
+// With MPX_BENCH_JSON set, appends BENCH_pr7.json-schema rows there:
 //   {"bench":"fig13_user_allreduce","variant":"cached_1024b",
 //    "bytes":1024,"us_op":...,"iters":N}
 // CI smoke-runs this and gates cached/persistent points via
@@ -114,12 +116,14 @@ int main() {
 
     {
       auto w = World::create(cfg);
-      emit("seed_rounds", bytes,
+      emit("seed_rd", bytes,
            run_series(*w, warmups, reps,
                       [&](int r, const Comm& c, Stream s) {
-                        drive(coll::iallreduce_rounds(in[r].data(),
-                                                      out[r].data(), count,
-                                                      dt, op, c),
+                        drive(coll::ir::iallreduce(
+                                  in[r].data(), out[r].data(), count, dt, op,
+                                  c,
+                                  coll::ir::Opts{coll::ir::Algo::rd,
+                                                 /*use_cache=*/false}),
                               s);
                       }),
            reps);

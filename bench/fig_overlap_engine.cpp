@@ -319,7 +319,7 @@ int main() {
   const bool smoke = mpx_bench::smoke_run();
   const int reps = smoke ? 1 : 5;
   const int halo_iters = smoke ? 20 : 150;
-  const int pipe_rounds = smoke ? 4 : 30;
+  const int pipe_steps = smoke ? 4 : 30;
   constexpr int kComputeUs = 500;
   constexpr std::size_t kHaloBytes = 1 << 20;   // 1 MiB: LMT rendezvous
   constexpr int kChunks = 8;
@@ -350,7 +350,7 @@ int main() {
                               {"iters", double(halo_iters)}});
       }
 
-      const double pipe_ms = run_pipeline(strat, pipe_rounds, kComputeUs,
+      const double pipe_ms = run_pipeline(strat, pipe_steps, kComputeUs,
                                           kChunks, kChunkBytes, &er);
       std::printf("%-10s %-10s %5d %12.2f\n", "overlap_pipeline",
                   name_of(strat), rep, pipe_ms);
@@ -358,7 +358,7 @@ int main() {
         mpx_bench::json_emit(
             "overlap_pipeline", name_of(strat),
             {{"makespan_ms", pipe_ms},
-             {"rounds", double(pipe_rounds)},
+             {"rounds", double(pipe_steps)},
              {"promotions", double(er.promotions)},
              {"demotions", double(er.demotions)},
              {"steals", double(er.steals)},
@@ -366,7 +366,7 @@ int main() {
       } else {
         mpx_bench::json_emit("overlap_pipeline", name_of(strat),
                              {{"makespan_ms", pipe_ms},
-                              {"rounds", double(pipe_rounds)}});
+                              {"rounds", double(pipe_steps)}});
       }
     }
   }

@@ -1,66 +1,47 @@
 // mpx/coll/coll.hpp
 //
-// Nonblocking (and blocking) collective operations, implemented as progress-
-// hook-driven schedules over the public core API (see sched.hpp). Algorithms
-// follow the classic MPICH choices:
+// Nonblocking (and blocking) collective operations. Every collective runs
+// as a compiled schedule (mpx::coll::ir) on the coll-exec progress stage:
+// one executor, one per-communicator schedule cache, one verifier.
+// Algorithms (MPX_COLL_ALGO or ir::Opts force a choice where there is one):
 //
-//   barrier    — dissemination
-//   bcast      — binomial tree
-//   reduce     — binomial tree (commutative ops)
-//   allreduce  — recursive doubling with non-power-of-two fold-in/out
-//   allgather  — ring
-//   gather     — linear to root
-//   scatter    — linear from root
-//   alltoall   — pairwise rotation
+//   barrier               — dissemination
+//   bcast                 — knomial tree | knomial scatter + ring allgather
+//   reduce                — knomial tree (commutative ops)
+//   allreduce             — recursive doubling | ring | Rabenseifner (rsag)
+//   allgather             — ring
+//   gather / scatter      — linear to / from the root
+//   alltoall              — pairwise (all exchanges posted at once)
+//   reduce_scatter_block  — ring
+//   scan / exscan         — chain
+//   v-variants, neighbor  — concrete per-call schedules (not cached)
 //
-// All "count"s are per-rank element counts of `dt`, MPI-style. Reductions
-// assume commutative operators (all built-in ReduceOps are commutative).
+// All "count"s are per-rank element counts of `dt`, MPI-style. Any valid
+// datatype works for data movement (elements sit `extent` bytes apart);
+// reductions require contiguous datatypes and assume commutative
+// operators (all built-in ReduceOps are commutative). Zero counts may pass
+// null buffers.
 #pragma once
 
-#include "mpx/coll/sched.hpp"
+#include <span>
+
+#include "mpx/core/comm.hpp"
+#include "mpx/dtype/reduce_op.hpp"
 
 namespace mpx::coll {
 
-/// Pass as `sendbuf` to reduce in place from/to `recvbuf` (MPI_IN_PLACE).
+/// MPI_IN_PLACE: pass as `sendbuf` (as `recvbuf` at a scatter root) to
+/// take the contribution from, and leave the result in, the other buffer.
+/// In-place gather/scatter are root-only; alltoall has no in-place form.
 extern const void* const in_place;
 
 Request ibarrier(const Comm& comm);
 void barrier(const Comm& comm);
 
-/// ibcast/ireduce/iallreduce route through the schedule compiler
-/// (mpx::coll::ir) when the datatype is compilable and MPX_COLL_IR is not
-/// disabled: the per-comm cache then serves repeated shapes with zero
-/// planning and zero allocation. Non-contiguous datatypes — and every
-/// collective the compiler does not cover yet — take the legacy
-/// round-based builders below (also callable directly as *_rounds, the
-/// bench's A/B reference).
 Request ibcast(void* buf, std::size_t count, dtype::Datatype dt, int root,
                const Comm& comm);
 void bcast(void* buf, std::size_t count, dtype::Datatype dt, int root,
            const Comm& comm);
-
-/// Legacy round-based paths (pre-compiler behavior, kept as the bench and
-/// correctness reference): binomial/chain bcast, binomial-tree reduce,
-/// recursive-doubling allreduce.
-Request ibcast_rounds(void* buf, std::size_t count, dtype::Datatype dt,
-                      int root, const Comm& comm);
-Request ireduce_rounds(const void* sendbuf, void* recvbuf, std::size_t count,
-                       dtype::Datatype dt, dtype::ReduceOp op, int root,
-                       const Comm& comm);
-Request iallreduce_rounds(const void* sendbuf, void* recvbuf,
-                          std::size_t count, dtype::Datatype dt,
-                          dtype::ReduceOp op, const Comm& comm);
-
-/// Force the binomial-tree algorithm (latency-optimized).
-Request ibcast_binomial(void* buf, std::size_t count, dtype::Datatype dt,
-                        int root, const Comm& comm);
-
-/// Force the pipelined-chain algorithm (bandwidth-optimized): the payload
-/// moves down the rank chain in chunks, overlapping the receive of chunk
-/// k+1 with the forward of chunk k.
-Request ibcast_chain(void* buf, std::size_t count, dtype::Datatype dt,
-                     int root, const Comm& comm,
-                     std::size_t chunk_bytes = 0);
 
 Request ireduce(const void* sendbuf, void* recvbuf, std::size_t count,
                 dtype::Datatype dt, dtype::ReduceOp op, int root,
@@ -73,12 +54,6 @@ Request iallreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                    dtype::Datatype dt, dtype::ReduceOp op, const Comm& comm);
 void allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                dtype::Datatype dt, dtype::ReduceOp op, const Comm& comm);
-
-/// Ring allreduce (reduce-scatter + allgather): bandwidth-optimal variant
-/// for large payloads; the ablation bench compares it to recursive doubling.
-Request iallreduce_ring(const void* sendbuf, void* recvbuf, std::size_t count,
-                        dtype::Datatype dt, dtype::ReduceOp op,
-                        const Comm& comm);
 
 Request iallgather(const void* sendbuf, std::size_t count, dtype::Datatype dt,
                    void* recvbuf, const Comm& comm);
@@ -101,7 +76,9 @@ void alltoall(const void* sendbuf, std::size_t count, dtype::Datatype dt,
               void* recvbuf, const Comm& comm);
 
 /// Reduce size*recvcount elements, leaving block r (recvcount elements) on
-/// rank r (MPI_Reduce_scatter_block). Ring reduce-scatter.
+/// rank r (MPI_Reduce_scatter_block). Ring reduce-scatter. In place, the
+/// input is recvbuf's size*recvcount elements and the result overwrites
+/// its first block.
 Request ireduce_scatter_block(const void* sendbuf, void* recvbuf,
                               std::size_t recvcount, dtype::Datatype dt,
                               dtype::ReduceOp op, const Comm& comm);
@@ -110,7 +87,7 @@ void reduce_scatter_block(const void* sendbuf, void* recvbuf,
                           dtype::ReduceOp op, const Comm& comm);
 
 /// Inclusive prefix reduction (MPI_Scan): rank r receives
-/// op(x_0, ..., x_r). Linear chain.
+/// op(x_0, ..., x_r). Chain.
 Request iscan(const void* sendbuf, void* recvbuf, std::size_t count,
               dtype::Datatype dt, dtype::ReduceOp op, const Comm& comm);
 void scan(const void* sendbuf, void* recvbuf, std::size_t count,

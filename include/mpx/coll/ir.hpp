@@ -2,11 +2,12 @@
 //
 // The collective schedule IR and compiler ("Extending MPI with User-Level
 // Schedules" made concrete). A compiled Schedule is a flat graph of
-// send/recv/reduce/copy/fn nodes with explicit dependency edges — the
-// round-barrier model of sched.hpp is the special case where every node of
-// layer k depends on all of layer k-1. Sparser edges let independent data
-// flow independently: a ring allreduce's reduce-scatter chunks stream
-// without waiting for the slowest peer of each "round".
+// send/recv/reduce/copy/fn nodes with explicit dependency edges — a
+// round-barrier schedule is the special case where every node of layer k
+// depends on all of layer k-1. Sparser edges let independent data flow
+// independently: a ring allreduce's reduce-scatter chunks stream without
+// waiting for the slowest peer of each "round". Every collective in
+// mpx::coll runs on this IR.
 //
 // Schedules are specialized once per (coll kind, dtype layout, reduce op,
 // count class, in-place, root, rank) and are immutable after Builder::
@@ -19,8 +20,7 @@
 // Buffer hazards are inferred, not declared: the Builder records each
 // node's read/write ranges and adds RAW/WAR/WAW edges against earlier
 // nodes automatically, so algorithm builders are written as straight-line
-// emission in program order — exactly like the round-based builders, minus
-// the barriers.
+// emission in program order, with no round barriers.
 #pragma once
 
 #include <cstddef>
@@ -42,7 +42,23 @@ namespace verify {
 struct Report;  // ir_verify.hpp
 }
 
-enum class CollKind : std::uint8_t { allreduce = 0, bcast, reduce };
+enum class CollKind : std::uint8_t {
+  allreduce = 0,
+  bcast,
+  reduce,
+  barrier,
+  gather,
+  scatter,
+  allgather,
+  alltoall,
+  reduce_scatter_block,
+  scan,
+  exscan,
+};
+
+/// True for kinds whose buffers hold one block per rank: their schedule
+/// vector is P*count and every runtime count is a multiple of P.
+bool blocked(CollKind kind);
 
 /// Concrete algorithm a schedule implements. `auto_` is only an input to
 /// selection — compiled schedules always carry a resolved value.
@@ -53,6 +69,10 @@ enum class Algo : std::uint8_t {
   rsag,        ///< recursive-halving RS + recursive-doubling AG (allreduce)
   knomial,     ///< radix-k tree (bcast, reduce)
   scatter_ag,  ///< knomial scatter + ring allgather (bcast)
+  dissemination,  ///< log2(P) token rounds (barrier)
+  linear,      ///< root talks to every rank directly (gather, scatter)
+  pairwise,    ///< every rank exchanges with every other at once (alltoall)
+  chain,       ///< prefix passed rank to rank (scan, exscan)
 };
 
 const char* to_string(Algo a);
@@ -119,7 +139,7 @@ struct ExecView {
   std::byte* recvbuf = nullptr;
   std::byte* scratch = nullptr;  ///< cursor's scratch arena base
   std::size_t count = 0;         ///< runtime element count
-  std::size_t esz = 0;           ///< element size in bytes
+  std::size_t esz = 0;           ///< element extent (stride) in bytes
   int rank = 0;
   int size = 0;
 };
@@ -186,6 +206,9 @@ class Schedule {
   /// Largest element count this schedule's scratch sizing admits (the
   /// count-class upper bound it was compiled for).
   std::size_t max_count = 0;
+  /// Every runtime count is a multiple of `unit` (P for blocked kinds);
+  /// Parts are resolved and verified only at such counts.
+  std::uint32_t unit = 1;
 
   std::vector<Node> nodes;
   std::vector<std::uint32_t> succ;      ///< CSR successor node ids
@@ -197,7 +220,7 @@ class Schedule {
   std::uint32_t nreq = 0;  ///< number of send/recv nodes (request slots)
 
   /// Byte offset of each scratch slot and the total arena size for `count`
-  /// elements of `esz` bytes (64-byte aligned slots).
+  /// elements of the datatype's extent (64-byte aligned slots).
   std::size_t arena_bytes(std::size_t count) const;
   std::size_t slot_offset(std::uint16_t slot, std::size_t count) const;
 
@@ -217,10 +240,15 @@ using SchedPtr = std::shared_ptr<const Schedule>;
 /// Public so user-level schedules can be built out-of-tree (the paper's
 /// §5.3 direction): a custom schedule executes through the same compiled
 /// cursor machinery as the built-in algorithms.
+///
+/// Copy and reduce operands must resolve to equal lengths at every count:
+/// identical Parts always do. With `unit` > 1 the schedule only ever runs
+/// at multiples of `unit`, so Parts of equal width whose divisors divide
+/// `unit` also qualify — a copy may move block i to block j.
 class Builder {
  public:
   Builder(CollKind kind, dtype::Datatype dt, dtype::ReduceOp op,
-          bool in_place, int rank, int size);
+          bool in_place, int rank, int size, std::uint32_t unit = 1);
 
   /// Allocate a scratch slot sized to `size` (a Part of the vector).
   std::uint16_t scratch(Part size);
@@ -268,6 +296,7 @@ class Builder {
   bool in_place_;
   int rank_;
   int size_;
+  std::uint32_t unit_;
   std::uint32_t nreq_ = 0;
   std::vector<Node> nodes_;
   std::vector<std::vector<Access>> accesses_;  ///< per node, compile-only
@@ -307,12 +336,12 @@ struct CacheStats {
 };
 CacheStats cache_stats(const Comm& comm);
 
-/// True when the compiled path can serve (contiguous datatype; the legacy
-/// round-based builders remain for everything else).
-bool eligible(const dtype::Datatype& dt);
-
 /// Compile (or fetch from the comm's cache) and launch. These are what
-/// coll::iallreduce / ibcast / ireduce route through.
+/// coll::iallreduce / ibcast / ireduce route through; every other
+/// collective has a single algorithm and launches from mpx::coll directly.
+/// Non-contiguous datatypes compile uncached (the cache key records the
+/// leaf type and size, not the layout); reductions require contiguous
+/// types.
 Request iallreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                    dtype::Datatype dt, dtype::ReduceOp op, const Comm& comm,
                    Opts opts = {});
@@ -331,7 +360,8 @@ Request allreduce_init(const void* sendbuf, void* recvbuf, std::size_t count,
 
 /// Compile one rank's schedule without a communicator (unit tests and
 /// offline inspection). Deterministic: every rank compiling with the same
-/// arguments selects the same algorithm.
+/// arguments selects the same algorithm. `count` is the schedule's vector
+/// length: P*count for blocked kinds.
 SchedPtr compile(CollKind kind, std::size_t count, dtype::Datatype dt,
                  dtype::ReduceOp op, bool in_place, int root, int rank,
                  int size, const net::CostModel& net, Algo force = Algo::auto_);

@@ -108,7 +108,8 @@ class ScheduleVerifyError : public InternalError {
 /// rank r's schedule (scheds.size() == comm size). Symbolic Parts are
 /// resolved at each of `probe_counts`; empty probes default to
 /// {1, 2, max_count/2 + 1, max_count}, the class corners plus an
-/// odd interior point (floor resolution differs most there).
+/// odd interior point (floor resolution differs most there), each taken
+/// in multiples of the schedules' unit.
 Report verify_ranks(const std::vector<SchedPtr>& scheds,
                     const std::vector<std::size_t>& probe_counts = {});
 

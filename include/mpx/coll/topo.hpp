@@ -3,14 +3,14 @@
 // Cartesian process topologies and neighborhood collectives
 // (MPI_Cart_create / MPI_Cart_shift / MPI_Neighbor_allgather analogs) —
 // the substrate stencil applications use for halo exchange. Like the rest
-// of mpx::coll, the neighborhood collective is a schedule over the public
-// API, progressed by the collective stage of the collated progress engine.
+// of mpx::coll, a neighborhood collective is a compiled schedule run by the
+// coll-exec stage of the collated progress engine.
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "mpx/coll/sched.hpp"
+#include "mpx/core/comm.hpp"
 
 namespace mpx::coll {
 

@@ -9,8 +9,9 @@
 // calls out: operations are REQUESTS (already initiated at add time), so a
 // round boundary only gates when completions are *observed* and when local
 // ops run; it cannot defer initiation of later communication. Contrast with
-// mpx::coll::Sched (built on MPIX_Async ideas), which defers issuing each
-// round. The abl_continue_vs_async bench family quantifies the difference.
+// the compiled collective schedules of mpx::coll::ir, which post each node
+// only once its dependencies complete. The abl_continue_vs_async bench
+// family quantifies the difference.
 #pragma once
 
 #include <functional>

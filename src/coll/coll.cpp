@@ -1,14 +1,15 @@
-// Collective algorithm constructions. Each i-collective builds a Sched and
-// commits it; blocking forms wait on the comm's stream.
+// Collective front ends: argument checks and in-place conventions, then one
+// compiled schedule per call. Fixed-shape kinds fetch their schedule from
+// the comm's cache (ir_front.cpp); the v-variants build a concrete schedule
+// per call through the public Builder and launch it uncached. Blocking
+// forms wait on the comm's stream.
 #include "mpx/coll/coll.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <memory>
+#include <cstdint>
 #include <utility>
 
-#include "mpx/base/cvar.hpp"
-#include "mpx/coll/ir.hpp"
+#include "ir_internal.hpp"
 #include "mpx/core/waittest.hpp"
 
 namespace mpx::coll {
@@ -20,103 +21,82 @@ void wait_blocking(Request r, const Comm& comm) {
   wait_on_stream(r, comm.stream());
 }
 
-/// MPX_COLL_IR=0 pins every collective to the legacy round-based builders
-/// (escape hatch + the bench's baseline series).
-bool coll_ir_enabled() {
-  static const bool v = base::cvar_bool("MPX_COLL_IR", true);
+/// Fetch-or-compile and launch a fixed-shape schedule whose vector is
+/// `count` elements (P*count for blocked kinds).
+Request run(ir::CollKind kind, const void* sendbuf, void* recvbuf,
+            std::size_t count, dtype::Datatype dt, dtype::ReduceOp op,
+            bool inp, int root, const Comm& comm) {
+  ir::SchedPtr s = ir::get_or_compile(kind, count, std::move(dt), op, inp,
+                                      root, comm, ir::Opts{});
+  return ir::launch(std::move(s), sendbuf, recvbuf, count, comm);
+}
+
+/// Vector length of a blocked kind: one `count`-element block per rank.
+std::size_t all_blocks(const Comm& comm, std::size_t count) {
+  return static_cast<std::size_t>(comm.size()) * count;
+}
+
+void check_reduction(const dtype::Datatype& dt, const char* what) {
+  expects(dt.valid() && dt.is_contiguous(), what);
+}
+
+// --- v-variant helpers ---
+
+/// Elements the per-rank blocks at `displs` span: the vector a v-variant's
+/// concrete schedule runs over.
+std::size_t span_of(std::span<const std::size_t> counts,
+                    std::span<const std::size_t> displs) {
+  std::size_t v = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    v = std::max(v, displs[i] + counts[i]);
+  }
   return v;
 }
 
-/// The compiled path serves contiguous datatypes with a nonzero payload;
-/// zero-count calls stay on the round-based builders (they synchronize
-/// with zero-byte messages and some pass null buffers, which the compiled
-/// front end rejects).
-bool use_ir(const dtype::Datatype& dt, std::size_t count) {
-  return count != 0 && coll_ir_enabled() && ir::eligible(dt);
+/// Elements [lo, lo + n) of a `v`-element vector. The schedule runs at
+/// exactly `v`, so the block resolves exactly.
+ir::Part elems(std::size_t v, std::size_t lo, std::size_t n) {
+  expects(v <= UINT32_MAX, "v-collective: vector exceeds 2^32 elements");
+  return ir::Part{static_cast<std::uint32_t>(v),
+                  static_cast<std::uint32_t>(lo),
+                  static_cast<std::uint32_t>(lo + n)};
 }
 
-int floor_pow2(int n) {
-  int p = 1;
-  while (p * 2 <= n) p *= 2;
-  return p;
+/// A v-variant builder: its unit is the vector itself, so copies may move
+/// a block to a different displacement.
+ir::Builder v_builder(ir::CollKind kind, const dtype::Datatype& dt, bool inp,
+                      std::size_t v, const Comm& comm) {
+  return ir::Builder(kind, dt, dtype::ReduceOp::sum, inp, comm.rank(),
+                     comm.size(),
+                     static_cast<std::uint32_t>(std::max<std::size_t>(v, 1)));
+}
+
+void check_v_args(std::span<const std::size_t> counts,
+                  std::span<const std::size_t> displs, const Comm& comm,
+                  const char* what) {
+  expects(static_cast<int>(counts.size()) == comm.size() &&
+              static_cast<int>(displs.size()) == comm.size(),
+          what);
 }
 
 }  // namespace
 
 const void* const in_place = &in_place_tag;
 
-// --- barrier: dissemination ---
+// --- barrier ---
 
 Request ibarrier(const Comm& comm) {
-  auto s = std::make_unique<Sched>(comm);
-  const int size = comm.size();
-  const int rank = comm.rank();
-  auto byte_dt = dtype::Datatype::byte();
-  for (int dist = 1; dist < size; dist *= 2) {
-    std::byte* token = s->scratch(2);
-    s->add_isend(token, 1, byte_dt, (rank + dist) % size);
-    s->add_irecv(token + 1, 1, byte_dt, (rank - dist + size) % size);
-    s->next_round();
-  }
-  return Sched::commit(std::move(s));
+  return run(ir::CollKind::barrier, nullptr, nullptr, 0,
+             dtype::Datatype::byte(), dtype::ReduceOp::sum, true, 0, comm);
 }
 
 void barrier(const Comm& comm) { wait_blocking(ibarrier(comm), comm); }
 
-// --- bcast: binomial tree (short) / pipelined chain (long) ---
-
-namespace {
-/// Crossover to the chain algorithm, overridable via MPX_BCAST_LONG_MIN.
-std::size_t bcast_long_min() {
-  static const auto v = static_cast<std::size_t>(
-      mpx::base::cvar_int("MPX_BCAST_LONG_MIN", 128 * 1024));
-  return v;
-}
-}  // namespace
+// --- bcast / reduce / allreduce (algorithm selection in ir_compile.cpp) ---
 
 Request ibcast(void* buf, std::size_t count, dtype::Datatype dt, int root,
                const Comm& comm) {
-  if (use_ir(dt, count)) {
-    return ir::ibcast(buf, count, std::move(dt), root, comm);
-  }
-  return ibcast_rounds(buf, count, std::move(dt), root, comm);
-}
-
-Request ibcast_rounds(void* buf, std::size_t count, dtype::Datatype dt,
-                      int root, const Comm& comm) {
-  if (count * dt.size() >= bcast_long_min() && comm.size() > 2) {
-    return ibcast_chain(buf, count, std::move(dt), root, comm);
-  }
-  return ibcast_binomial(buf, count, std::move(dt), root, comm);
-}
-
-Request ibcast_binomial(void* buf, std::size_t count, dtype::Datatype dt,
-                        int root, const Comm& comm) {
-  expects(root >= 0 && root < comm.size(), "ibcast: root out of range");
-  auto s = std::make_unique<Sched>(comm);
-  const int size = comm.size();
-  const int relative = (comm.rank() - root + size) % size;
-
-  // Receive from the parent (lowest set bit), then fan out to children.
-  int mask = 1;
-  while (mask < size) {
-    if ((relative & mask) != 0) {
-      const int parent = (relative - mask + root + size) % size;
-      s->add_irecv(buf, count, dt, parent);
-      s->next_round();
-      break;
-    }
-    mask *= 2;
-  }
-  mask /= 2;
-  while (mask > 0) {
-    if (relative + mask < size) {
-      const int child = (relative + mask + root) % size;
-      s->add_isend(buf, count, dt, child);
-    }
-    mask /= 2;
-  }
-  return Sched::commit(std::move(s));
+  return ir::ibcast(buf, count, std::move(dt), root, comm);
 }
 
 void bcast(void* buf, std::size_t count, dtype::Datatype dt, int root,
@@ -124,99 +104,10 @@ void bcast(void* buf, std::size_t count, dtype::Datatype dt, int root,
   wait_blocking(ibcast(buf, count, std::move(dt), root, comm), comm);
 }
 
-Request ibcast_chain(void* buf, std::size_t count, dtype::Datatype dt,
-                     int root, const Comm& comm, std::size_t chunk_bytes) {
-  expects(root >= 0 && root < comm.size(), "ibcast_chain: root out of range");
-  expects(dt.is_contiguous(), "ibcast_chain: requires contiguous datatypes");
-  auto s = std::make_unique<Sched>(comm);
-  const int size = comm.size();
-  const std::size_t esz = dt.size();
-  if (chunk_bytes == 0) chunk_bytes = 64 * 1024;
-  const std::size_t chunk_elems =
-      std::max<std::size_t>(1, chunk_bytes / (esz == 0 ? 1 : esz));
-  const std::size_t nchunks =
-      count == 0 ? 0 : (count + chunk_elems - 1) / chunk_elems;
-
-  // Chain order relative to the root.
-  const int pos = (comm.rank() - root + size) % size;
-  const int prev = (comm.rank() - 1 + size) % size;
-  const int next = (comm.rank() + 1) % size;
-  auto* bytes = static_cast<std::byte*>(buf);
-  auto chunk_at = [&](std::size_t c) {
-    const std::size_t lo = c * chunk_elems;
-    const std::size_t n = std::min(chunk_elems, count - lo);
-    return std::pair<std::byte*, std::size_t>(bytes + lo * esz, n);
-  };
-
-  // Software pipeline: round k forwards chunk k-1 while receiving chunk k,
-  // so the transfer of one chunk overlaps the arrival of the next.
-  for (std::size_t k = 0; k <= nchunks; ++k) {
-    if (k > 0 && pos < size - 1) {
-      auto [p, n] = chunk_at(k - 1);
-      s->add_isend(p, n, dt, next);
-    }
-    if (k < nchunks && pos > 0) {
-      auto [p, n] = chunk_at(k);
-      s->add_irecv(p, n, dt, prev);
-    }
-    s->next_round();
-  }
-  return Sched::commit(std::move(s));
-}
-
-// --- reduce: binomial tree (commutative) ---
-
 Request ireduce(const void* sendbuf, void* recvbuf, std::size_t count,
                 dtype::Datatype dt, dtype::ReduceOp op, int root,
                 const Comm& comm) {
-  if (use_ir(dt, count)) {
-    return ir::ireduce(sendbuf, recvbuf, count, std::move(dt), op, root,
-                       comm);
-  }
-  return ireduce_rounds(sendbuf, recvbuf, count, std::move(dt), op, root,
-                        comm);
-}
-
-Request ireduce_rounds(const void* sendbuf, void* recvbuf, std::size_t count,
-                       dtype::Datatype dt, dtype::ReduceOp op, int root,
-                       const Comm& comm) {
-  expects(root >= 0 && root < comm.size(), "ireduce: root out of range");
-  expects(dt.is_contiguous(),
-          "ireduce: reductions require contiguous datatypes");
-  auto s = std::make_unique<Sched>(comm);
-  const int size = comm.size();
-  const int rank = comm.rank();
-  const int relative = (rank - root + size) % size;
-  const std::size_t bytes = count * dt.size();
-
-  // Accumulator: root reduces directly into recvbuf; others into scratch.
-  std::byte* acc =
-      rank == root ? static_cast<std::byte*>(recvbuf) : s->scratch(bytes);
-  const void* init = sendbuf == in_place ? recvbuf : sendbuf;
-  if (static_cast<const void*>(acc) != init) {
-    std::memcpy(acc, init, bytes);  // capture input at call time
-  }
-
-  int mask = 1;
-  while (mask < size) {
-    if ((relative & mask) == 0) {
-      const int child_rel = relative | mask;
-      if (child_rel < size) {
-        const int child = (child_rel + root) % size;
-        std::byte* tmp = s->scratch(bytes);
-        s->add_irecv(tmp, count, dt, child);
-        s->add_reduce(tmp, acc, count, dt, op);
-        s->next_round();
-      }
-    } else {
-      const int parent = ((relative & ~mask) + root) % size;
-      s->add_isend(acc, count, dt, parent);
-      s->next_round();
-      break;
-    }
-    mask *= 2;
-  }
-  return Sched::commit(std::move(s));
+  return ir::ireduce(sendbuf, recvbuf, count, std::move(dt), op, root, comm);
 }
 
 void reduce(const void* sendbuf, void* recvbuf, std::size_t count,
@@ -227,75 +118,9 @@ void reduce(const void* sendbuf, void* recvbuf, std::size_t count,
                 comm);
 }
 
-// --- allreduce: recursive doubling with non-pow2 fold ---
-
 Request iallreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                    dtype::Datatype dt, dtype::ReduceOp op, const Comm& comm) {
-  if (use_ir(dt, count)) {
-    return ir::iallreduce(sendbuf, recvbuf, count, std::move(dt), op, comm);
-  }
-  return iallreduce_rounds(sendbuf, recvbuf, count, std::move(dt), op, comm);
-}
-
-Request iallreduce_rounds(const void* sendbuf, void* recvbuf,
-                          std::size_t count, dtype::Datatype dt,
-                          dtype::ReduceOp op, const Comm& comm) {
-  expects(dt.is_contiguous(),
-          "iallreduce: reductions require contiguous datatypes");
-  auto s = std::make_unique<Sched>(comm);
-  const int size = comm.size();
-  const int rank = comm.rank();
-  const std::size_t bytes = count * dt.size();
-
-  std::byte* acc = static_cast<std::byte*>(recvbuf);
-  // Zero-count collectives pass null buffers; memcpy(null, null, 0) is UB.
-  if (sendbuf != in_place && bytes != 0) std::memcpy(acc, sendbuf, bytes);
-
-  const int pow2 = floor_pow2(size);
-  const int rem = size - pow2;
-
-  // Phase A: fold the first 2*rem ranks pairwise so pow2 ranks remain.
-  // Even ranks < 2*rem hand their data to rank+1 and sit out.
-  int newrank;
-  if (rank < 2 * rem) {
-    if (rank % 2 == 0) {
-      s->add_isend(acc, count, dt, rank + 1);
-      s->next_round();
-      newrank = -1;
-    } else {
-      std::byte* tmp = s->scratch(bytes);
-      s->add_irecv(tmp, count, dt, rank - 1);
-      s->add_reduce(tmp, acc, count, dt, op);
-      s->next_round();
-      newrank = rank / 2;
-    }
-  } else {
-    newrank = rank - rem;
-  }
-
-  // Phase B: recursive doubling among the pow2 participants.
-  if (newrank >= 0) {
-    for (int mask = 1; mask < pow2; mask *= 2) {
-      const int peer_new = newrank ^ mask;
-      const int peer = peer_new < rem ? peer_new * 2 + 1 : peer_new + rem;
-      std::byte* tmp = s->scratch(bytes);
-      s->add_isend(acc, count, dt, peer);
-      s->add_irecv(tmp, count, dt, peer);
-      s->add_reduce(tmp, acc, count, dt, op);
-      s->next_round();
-    }
-  }
-
-  // Phase C: hand the result back to the folded-out even ranks.
-  if (rank < 2 * rem) {
-    if (rank % 2 == 0) {
-      s->add_irecv(acc, count, dt, rank + 1);
-    } else {
-      s->add_isend(acc, count, dt, rank - 1);
-    }
-    s->next_round();
-  }
-  return Sched::commit(std::move(s));
+  return ir::iallreduce(sendbuf, recvbuf, count, std::move(dt), op, comm);
 }
 
 void allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
@@ -304,78 +129,14 @@ void allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                 comm);
 }
 
-// --- allreduce: ring (reduce-scatter + allgather) ---
-
-Request iallreduce_ring(const void* sendbuf, void* recvbuf, std::size_t count,
-                        dtype::Datatype dt, dtype::ReduceOp op,
-                        const Comm& comm) {
-  expects(dt.is_contiguous(),
-          "iallreduce_ring: reductions require contiguous datatypes");
-  const int size = comm.size();
-  const int rank = comm.rank();
-  if (size == 1 || count < static_cast<std::size_t>(size)) {
-    // Fall back for tiny payloads where per-rank blocks would be empty.
-    return iallreduce(sendbuf, recvbuf, count, std::move(dt), op, comm);
-  }
-  auto s = std::make_unique<Sched>(comm);
-  const std::size_t esz = dt.size();
-  std::byte* acc = static_cast<std::byte*>(recvbuf);
-  if (sendbuf != in_place) std::memcpy(acc, sendbuf, count * esz);
-
-  // Partition [0, count) into `size` blocks.
-  auto block_lo = [&](int b) {
-    return (count * static_cast<std::size_t>(b)) /
-           static_cast<std::size_t>(size);
-  };
-  auto block_n = [&](int b) { return block_lo(b + 1) - block_lo(b); };
-
-  const int next = (rank + 1) % size;
-  const int prev = (rank - 1 + size) % size;
-
-  // Reduce-scatter: step k sends block (rank-k) and reduces block (rank-k-1).
-  for (int k = 0; k < size - 1; ++k) {
-    const int sb = (rank - k + size) % size;
-    const int rb = (rank - k - 1 + size) % size;
-    std::byte* tmp = s->scratch(block_n(rb) * esz);
-    s->add_isend(acc + block_lo(sb) * esz, block_n(sb), dt, next);
-    s->add_irecv(tmp, block_n(rb), dt, prev);
-    s->add_reduce(tmp, acc + block_lo(rb) * esz, block_n(rb), dt, op);
-    s->next_round();
-  }
-  // Allgather: circulate the finished blocks around the ring.
-  for (int k = 0; k < size - 1; ++k) {
-    const int sb = (rank + 1 - k + size) % size;
-    const int rb = (rank - k + size) % size;
-    s->add_isend(acc + block_lo(sb) * esz, block_n(sb), dt, next);
-    s->add_irecv(acc + block_lo(rb) * esz, block_n(rb), dt, prev);
-    s->next_round();
-  }
-  return Sched::commit(std::move(s));
-}
-
-// --- allgather: ring ---
+// --- blocked kinds: the schedule's vector is P*count ---
 
 Request iallgather(const void* sendbuf, std::size_t count, dtype::Datatype dt,
                    void* recvbuf, const Comm& comm) {
-  auto s = std::make_unique<Sched>(comm);
-  const int size = comm.size();
-  const int rank = comm.rank();
-  const std::size_t block = count * dt.size();
-  auto* out = static_cast<std::byte*>(recvbuf);
-
-  if (sendbuf != in_place) {
-    std::memcpy(out + static_cast<std::size_t>(rank) * block, sendbuf, block);
-  }
-  const int next = (rank + 1) % size;
-  const int prev = (rank - 1 + size) % size;
-  for (int k = 0; k < size - 1; ++k) {
-    const int sb = (rank - k + size) % size;
-    const int rb = (rank - k - 1 + size) % size;
-    s->add_isend(out + static_cast<std::size_t>(sb) * block, count, dt, next);
-    s->add_irecv(out + static_cast<std::size_t>(rb) * block, count, dt, prev);
-    s->next_round();
-  }
-  return Sched::commit(std::move(s));
+  const bool inp = sendbuf == in_place;
+  return run(ir::CollKind::allgather, inp ? nullptr : sendbuf, recvbuf,
+             all_blocks(comm, count), std::move(dt), dtype::ReduceOp::sum,
+             inp, 0, comm);
 }
 
 void allgather(const void* sendbuf, std::size_t count, dtype::Datatype dt,
@@ -384,29 +145,14 @@ void allgather(const void* sendbuf, std::size_t count, dtype::Datatype dt,
                 comm);
 }
 
-// --- gather / scatter: linear ---
-
 Request igather(const void* sendbuf, std::size_t count, dtype::Datatype dt,
                 void* recvbuf, int root, const Comm& comm) {
   expects(root >= 0 && root < comm.size(), "igather: root out of range");
-  auto s = std::make_unique<Sched>(comm);
-  const int size = comm.size();
-  const int rank = comm.rank();
-  const std::size_t block = count * dt.size();
-  if (rank == root) {
-    auto* out = static_cast<std::byte*>(recvbuf);
-    for (int i = 0; i < size; ++i) {
-      if (i == rank) continue;
-      s->add_irecv(out + static_cast<std::size_t>(i) * block, count, dt, i);
-    }
-    if (sendbuf != in_place) {
-      std::memcpy(out + static_cast<std::size_t>(rank) * block, sendbuf,
-                  block);
-    }
-  } else {
-    s->add_isend(sendbuf, count, dt, root);
-  }
-  return Sched::commit(std::move(s));
+  const bool at_root = comm.rank() == root;
+  const bool inp = at_root && sendbuf == in_place;
+  return run(ir::CollKind::gather, inp ? nullptr : sendbuf,
+             at_root ? recvbuf : nullptr, all_blocks(comm, count),
+             std::move(dt), dtype::ReduceOp::sum, inp, root, comm);
 }
 
 void gather(const void* sendbuf, std::size_t count, dtype::Datatype dt,
@@ -418,24 +164,14 @@ void gather(const void* sendbuf, std::size_t count, dtype::Datatype dt,
 Request iscatter(const void* sendbuf, std::size_t count, dtype::Datatype dt,
                  void* recvbuf, int root, const Comm& comm) {
   expects(root >= 0 && root < comm.size(), "iscatter: root out of range");
-  auto s = std::make_unique<Sched>(comm);
-  const int size = comm.size();
-  const int rank = comm.rank();
-  const std::size_t block = count * dt.size();
-  if (rank == root) {
-    const auto* in = static_cast<const std::byte*>(sendbuf);
-    for (int i = 0; i < size; ++i) {
-      if (i == rank) continue;
-      s->add_isend(in + static_cast<std::size_t>(i) * block, count, dt, i);
-    }
-    if (recvbuf != in_place) {
-      std::memcpy(recvbuf, in + static_cast<std::size_t>(rank) * block,
-                  block);
-    }
-  } else {
-    s->add_irecv(recvbuf, count, dt, root);
-  }
-  return Sched::commit(std::move(s));
+  const bool at_root = comm.rank() == root;
+  const bool inp = at_root && recvbuf == in_place;
+  // In place, the root's P blocks are the schedule's recv space; the
+  // schedule only reads them.
+  void* rbuf = inp ? const_cast<void*>(sendbuf) : recvbuf;
+  return run(ir::CollKind::scatter, at_root && !inp ? sendbuf : nullptr,
+             rbuf, all_blocks(comm, count), std::move(dt),
+             dtype::ReduceOp::sum, inp, root, comm);
 }
 
 void scatter(const void* sendbuf, std::size_t count, dtype::Datatype dt,
@@ -444,27 +180,12 @@ void scatter(const void* sendbuf, std::size_t count, dtype::Datatype dt,
                 comm);
 }
 
-// --- alltoall: pairwise rotation ---
-
 Request ialltoall(const void* sendbuf, std::size_t count, dtype::Datatype dt,
                   void* recvbuf, const Comm& comm) {
-  auto s = std::make_unique<Sched>(comm);
-  const int size = comm.size();
-  const int rank = comm.rank();
-  const std::size_t block = count * dt.size();
-  const auto* in = static_cast<const std::byte*>(sendbuf);
-  auto* out = static_cast<std::byte*>(recvbuf);
-
-  std::memcpy(out + static_cast<std::size_t>(rank) * block,
-              in + static_cast<std::size_t>(rank) * block, block);
-  for (int k = 1; k < size; ++k) {
-    const int dst = (rank + k) % size;
-    const int src = (rank - k + size) % size;
-    s->add_isend(in + static_cast<std::size_t>(dst) * block, count, dt, dst);
-    s->add_irecv(out + static_cast<std::size_t>(src) * block, count, dt, src);
-    s->next_round();
-  }
-  return Sched::commit(std::move(s));
+  expects(sendbuf != in_place, "ialltoall: in_place is not supported");
+  return run(ir::CollKind::alltoall, sendbuf, recvbuf,
+             all_blocks(comm, count), std::move(dt), dtype::ReduceOp::sum,
+             false, 0, comm);
 }
 
 void alltoall(const void* sendbuf, std::size_t count, dtype::Datatype dt,
@@ -473,43 +194,14 @@ void alltoall(const void* sendbuf, std::size_t count, dtype::Datatype dt,
                 comm);
 }
 
-// --- reduce_scatter_block: ring reduce-scatter ---
-
 Request ireduce_scatter_block(const void* sendbuf, void* recvbuf,
                               std::size_t recvcount, dtype::Datatype dt,
                               dtype::ReduceOp op, const Comm& comm) {
-  expects(dt.is_contiguous(),
-          "ireduce_scatter_block: requires contiguous datatypes");
-  auto s = std::make_unique<Sched>(comm);
-  const int size = comm.size();
-  const int rank = comm.rank();
-  const std::size_t esz = dt.size();
-  const std::size_t block = recvcount * esz;
-
-  // Work on a schedule-owned copy of the full input vector.
-  std::byte* acc = s->scratch(block * static_cast<std::size_t>(size));
-  const void* init = sendbuf == in_place ? recvbuf : sendbuf;
-  std::memcpy(acc, init, block * static_cast<std::size_t>(size));
-
-  const int next = (rank + 1) % size;
-  const int prev = (rank - 1 + size) % size;
-  // Step k: send block (rank - k - 1), receive + reduce block
-  // (rank - k - 2). Partial reductions move up the ring one hop per step;
-  // with this phase shift each rank reduces ITS OWN block on the final
-  // step, so no post-rotation is needed.
-  for (int k = 0; k < size - 1; ++k) {
-    const int sb = (rank - k - 1 + 2 * size) % size;
-    const int rb = (rank - k - 2 + 2 * size) % size;
-    std::byte* tmp = s->scratch(block);
-    s->add_isend(acc + static_cast<std::size_t>(sb) * block, recvcount, dt,
-                 next);
-    s->add_irecv(tmp, recvcount, dt, prev);
-    s->add_reduce(tmp, acc + static_cast<std::size_t>(rb) * block, recvcount,
-                  dt, op);
-    s->next_round();
-  }
-  s->add_copy(acc + static_cast<std::size_t>(rank) * block, recvbuf, block);
-  return Sched::commit(std::move(s));
+  check_reduction(dt, "ireduce_scatter_block: requires contiguous datatypes");
+  const bool inp = sendbuf == in_place;
+  return run(ir::CollKind::reduce_scatter_block, inp ? nullptr : sendbuf,
+             recvbuf, all_blocks(comm, recvcount), std::move(dt), op, inp, 0,
+             comm);
 }
 
 void reduce_scatter_block(const void* sendbuf, void* recvbuf,
@@ -520,30 +212,14 @@ void reduce_scatter_block(const void* sendbuf, void* recvbuf,
                 comm);
 }
 
-// --- scan: linear chain (latency O(P), simple and robust) ---
+// --- scan / exscan ---
 
 Request iscan(const void* sendbuf, void* recvbuf, std::size_t count,
               dtype::Datatype dt, dtype::ReduceOp op, const Comm& comm) {
-  expects(dt.is_contiguous(), "iscan: requires contiguous datatypes");
-  auto s = std::make_unique<Sched>(comm);
-  const int size = comm.size();
-  const int rank = comm.rank();
-  const std::size_t bytes = count * dt.size();
-
-  std::byte* acc = static_cast<std::byte*>(recvbuf);
-  // Zero-count collectives pass null buffers; memcpy(null, null, 0) is UB.
-  if (sendbuf != in_place && bytes != 0) std::memcpy(acc, sendbuf, bytes);
-
-  if (rank > 0) {
-    std::byte* tmp = s->scratch(bytes);
-    s->add_irecv(tmp, count, dt, rank - 1);
-    s->add_reduce(tmp, acc, count, dt, op);
-    s->next_round();
-  }
-  if (rank < size - 1) {
-    s->add_isend(acc, count, dt, rank + 1);
-  }
-  return Sched::commit(std::move(s));
+  check_reduction(dt, "iscan: requires contiguous datatypes");
+  const bool inp = sendbuf == in_place;
+  return run(ir::CollKind::scan, inp ? nullptr : sendbuf, recvbuf, count,
+             std::move(dt), op, inp, 0, comm);
 }
 
 void scan(const void* sendbuf, void* recvbuf, std::size_t count,
@@ -554,28 +230,10 @@ void scan(const void* sendbuf, void* recvbuf, std::size_t count,
 
 Request iexscan(const void* sendbuf, void* recvbuf, std::size_t count,
                 dtype::Datatype dt, dtype::ReduceOp op, const Comm& comm) {
-  expects(dt.is_contiguous(), "iexscan: requires contiguous datatypes");
-  auto s = std::make_unique<Sched>(comm);
-  const int size = comm.size();
-  const int rank = comm.rank();
-  const std::size_t bytes = count * dt.size();
-
-  // Forward value: op(x_0..x_rank), built from the received prefix and our
-  // own contribution; travels down the chain.
-  std::byte* fwd = s->scratch(bytes);
-  std::memcpy(fwd, sendbuf == in_place ? recvbuf : sendbuf, bytes);
-
-  if (rank > 0) {
-    // Receive the exclusive prefix directly into recvbuf (the result),
-    // then fold it into the forward value.
-    s->add_irecv(recvbuf, count, dt, rank - 1);
-    s->add_reduce(recvbuf, fwd, count, dt, op);
-    s->next_round();
-  }
-  if (rank < size - 1) {
-    s->add_isend(fwd, count, dt, rank + 1);
-  }
-  return Sched::commit(std::move(s));
+  check_reduction(dt, "iexscan: requires contiguous datatypes");
+  const bool inp = sendbuf == in_place;
+  return run(ir::CollKind::exscan, inp ? nullptr : sendbuf, recvbuf, count,
+             std::move(dt), op, inp, 0, comm);
 }
 
 void exscan(const void* sendbuf, void* recvbuf, std::size_t count,
@@ -584,56 +242,35 @@ void exscan(const void* sendbuf, void* recvbuf, std::size_t count,
                 comm);
 }
 
-// --- persistent collectives ---
-
-namespace {
-
-/// Wrap an i-collective launcher into a persistent handle. Each start()
-/// re-runs the launcher; since every member starts its persistent op in the
-/// same order (an MPI requirement), per-cycle collective tags line up.
-Request make_persistent_coll(const Comm& comm,
-                             std::function<Request()> launch) {
-  return make_persistent_generic(
-      comm.world(), comm.stream(),
-      [launch = std::move(launch)]() {
-        Request r = launch();
-        return base::Ref<core_detail::RequestImpl>::share(r.impl());
-      });
-}
-
-}  // namespace
+// --- persistent collectives: one pinned cursor per handle ---
 
 Request barrier_init(const Comm& comm) {
   expects(comm.valid(), "barrier_init: invalid communicator");
-  return make_persistent_coll(comm, [comm] { return ibarrier(comm); });
+  return ir::persistent_launch(
+      ir::get_or_compile(ir::CollKind::barrier, 0, dtype::Datatype::byte(),
+                         dtype::ReduceOp::sum, true, 0, comm, ir::Opts{}),
+      nullptr, nullptr, 0, comm);
 }
 
 Request bcast_init(void* buf, std::size_t count, dtype::Datatype dt,
                    int root, const Comm& comm) {
-  expects(comm.valid() && root >= 0 && root < comm.size(),
+  expects(comm.valid() && root >= 0 && root < comm.size() &&
+              (buf != nullptr || count == 0),
           "bcast_init: bad arguments");
-  return make_persistent_coll(comm, [=] {
-    return ibcast(buf, count, dt, root, comm);
-  });
+  return ir::persistent_launch(
+      ir::get_or_compile(ir::CollKind::bcast, count, std::move(dt),
+                         dtype::ReduceOp::sum, true, root, comm, ir::Opts{}),
+      nullptr, buf, count, comm);
 }
 
 Request allreduce_init(const void* sendbuf, void* recvbuf, std::size_t count,
                        dtype::Datatype dt, dtype::ReduceOp op,
                        const Comm& comm) {
-  expects(comm.valid() && dt.is_contiguous(),
-          "allreduce_init: bad arguments");
-  if (use_ir(dt, count)) {
-    // Compiled persistent path: the schedule and executor cursor are built
-    // once and pinned to the handle; start() re-arms them allocation-free.
-    return ir::allreduce_init(sendbuf, recvbuf, count, std::move(dt), op,
-                              comm);
-  }
-  return make_persistent_coll(comm, [=] {
-    return iallreduce(sendbuf, recvbuf, count, dt, op, comm);
-  });
+  return ir::allreduce_init(sendbuf, recvbuf, count, std::move(dt), op,
+                            comm);
 }
 
-// --- v-variants ---
+// --- v-variants: concrete schedules over a vector spanning every block ---
 
 Request igatherv(const void* sendbuf, std::size_t sendcount,
                  dtype::Datatype dt, void* recvbuf,
@@ -641,28 +278,33 @@ Request igatherv(const void* sendbuf, std::size_t sendcount,
                  std::span<const std::size_t> displs, int root,
                  const Comm& comm) {
   expects(root >= 0 && root < comm.size(), "igatherv: root out of range");
-  auto s = std::make_unique<Sched>(comm);
-  const int size = comm.size();
-  const int rank = comm.rank();
-  const std::size_t esz = dt.size();
-  if (rank == root) {
-    expects(static_cast<int>(recvcounts.size()) == size &&
-                static_cast<int>(displs.size()) == size,
-            "igatherv: counts/displs must have one entry per rank");
-    auto* out = static_cast<std::byte*>(recvbuf);
-    for (int i = 0; i < size; ++i) {
-      if (i == rank) continue;
-      s->add_irecv(out + displs[static_cast<std::size_t>(i)] * esz,
-                   recvcounts[static_cast<std::size_t>(i)], dt, i);
-    }
-    if (sendbuf != in_place) {
-      std::memcpy(out + displs[static_cast<std::size_t>(rank)] * esz,
-                  sendbuf, sendcount * esz);
-    }
-  } else {
-    s->add_isend(sendbuf, sendcount, dt, root);
+  const int r = comm.rank();
+  if (r != root) {
+    ir::Builder b = v_builder(ir::CollKind::gather, dt, false, sendcount,
+                              comm);
+    if (sendcount != 0) b.send(ir::send_buf(ir::full()), root);
+    return ir::launch(b.finish(ir::Algo::linear, root, sendcount), sendbuf,
+                      nullptr, sendcount, comm);
   }
-  return Sched::commit(std::move(s));
+  check_v_args(recvcounts, displs, comm,
+               "igatherv: counts/displs must have one entry per rank");
+  const bool inp = sendbuf == in_place;
+  const auto ur = static_cast<std::size_t>(r);
+  const std::size_t v =
+      std::max(span_of(recvcounts, displs), inp ? 0 : displs[ur] + sendcount);
+  ir::Builder b = v_builder(ir::CollKind::gather, dt, inp, v, comm);
+  if (!inp && sendcount != 0) {
+    b.copy(ir::send_buf(elems(v, 0, sendcount)),
+           ir::recv_buf(elems(v, displs[ur], sendcount)));
+  }
+  for (int i = 0; i < comm.size(); ++i) {
+    const auto ui = static_cast<std::size_t>(i);
+    if (i != r && recvcounts[ui] != 0) {
+      b.recv(ir::recv_buf(elems(v, displs[ui], recvcounts[ui])), i);
+    }
+  }
+  return ir::launch(b.finish(ir::Algo::linear, root, v),
+                    inp ? nullptr : sendbuf, recvbuf, v, comm);
 }
 
 void gatherv(const void* sendbuf, std::size_t sendcount, dtype::Datatype dt,
@@ -680,28 +322,33 @@ Request iscatterv(const void* sendbuf,
                   void* recvbuf, std::size_t recvcount, int root,
                   const Comm& comm) {
   expects(root >= 0 && root < comm.size(), "iscatterv: root out of range");
-  auto s = std::make_unique<Sched>(comm);
-  const int size = comm.size();
-  const int rank = comm.rank();
-  const std::size_t esz = dt.size();
-  if (rank == root) {
-    expects(static_cast<int>(sendcounts.size()) == size &&
-                static_cast<int>(displs.size()) == size,
-            "iscatterv: counts/displs must have one entry per rank");
-    const auto* in = static_cast<const std::byte*>(sendbuf);
-    for (int i = 0; i < size; ++i) {
-      if (i == rank) continue;
-      s->add_isend(in + displs[static_cast<std::size_t>(i)] * esz,
-                   sendcounts[static_cast<std::size_t>(i)], dt, i);
-    }
-    if (recvbuf != in_place) {
-      std::memcpy(recvbuf, in + displs[static_cast<std::size_t>(rank)] * esz,
-                  sendcounts[static_cast<std::size_t>(rank)] * esz);
-    }
-  } else {
-    s->add_irecv(recvbuf, recvcount, dt, root);
+  const int r = comm.rank();
+  if (r != root) {
+    ir::Builder b = v_builder(ir::CollKind::scatter, dt, false, recvcount,
+                              comm);
+    if (recvcount != 0) b.recv(ir::recv_buf(ir::full()), root);
+    return ir::launch(b.finish(ir::Algo::linear, root, recvcount), nullptr,
+                      recvbuf, recvcount, comm);
   }
-  return Sched::commit(std::move(s));
+  check_v_args(sendcounts, displs, comm,
+               "iscatterv: counts/displs must have one entry per rank");
+  const bool inp = recvbuf == in_place;
+  const auto ur = static_cast<std::size_t>(r);
+  const std::size_t own = sendcounts[ur];
+  const std::size_t v = span_of(sendcounts, displs);
+  ir::Builder b = v_builder(ir::CollKind::scatter, dt, false, v, comm);
+  for (int i = 0; i < comm.size(); ++i) {
+    const auto ui = static_cast<std::size_t>(i);
+    if (i != r && sendcounts[ui] != 0) {
+      b.send(ir::send_buf(elems(v, displs[ui], sendcounts[ui])), i);
+    }
+  }
+  if (!inp && own != 0) {
+    b.copy(ir::send_buf(elems(v, displs[ur], own)),
+           ir::recv_buf(elems(v, 0, own)));
+  }
+  return ir::launch(b.finish(ir::Algo::linear, root, v), sendbuf,
+                    inp ? nullptr : recvbuf, v, comm);
 }
 
 void scatterv(const void* sendbuf, std::span<const std::size_t> sendcounts,
@@ -717,30 +364,35 @@ Request iallgatherv(const void* sendbuf, std::size_t sendcount,
                     dtype::Datatype dt, void* recvbuf,
                     std::span<const std::size_t> recvcounts,
                     std::span<const std::size_t> displs, const Comm& comm) {
-  const int size = comm.size();
-  expects(static_cast<int>(recvcounts.size()) == size &&
-              static_cast<int>(displs.size()) == size,
-          "iallgatherv: counts/displs must have one entry per rank");
-  auto s = std::make_unique<Sched>(comm);
-  const int rank = comm.rank();
-  const std::size_t esz = dt.size();
-  auto* out = static_cast<std::byte*>(recvbuf);
-
-  if (sendbuf != in_place) {
-    std::memcpy(out + displs[static_cast<std::size_t>(rank)] * esz, sendbuf,
-                sendcount * esz);
+  check_v_args(recvcounts, displs, comm,
+               "iallgatherv: counts/displs must have one entry per rank");
+  const int P = comm.size(), r = comm.rank();
+  const bool inp = sendbuf == in_place;
+  const std::size_t v =
+      std::max(span_of(recvcounts, displs),
+               inp ? 0 : displs[static_cast<std::size_t>(r)] + sendcount);
+  ir::Builder b = v_builder(ir::CollKind::allgather, dt, inp, v, comm);
+  const auto blk = [&](int i) {
+    const auto u = static_cast<std::size_t>((i % P + P) % P);
+    return ir::recv_buf(elems(v, displs[u], recvcounts[u]));
+  };
+  const auto cnt = [&](int i) {
+    return recvcounts[static_cast<std::size_t>((i % P + P) % P)];
+  };
+  if (!inp && sendcount != 0) {
+    b.copy(ir::send_buf(elems(v, 0, sendcount)),
+           ir::recv_buf(
+               elems(v, displs[static_cast<std::size_t>(r)], sendcount)));
   }
-  const int next = (rank + 1) % size;
-  const int prev = (rank - 1 + size) % size;
-  // Ring with per-block counts: step k forwards block (rank - k).
-  for (int k = 0; k < size - 1; ++k) {
-    const auto sb = static_cast<std::size_t>((rank - k + size) % size);
-    const auto rb = static_cast<std::size_t>((rank - k - 1 + size) % size);
-    s->add_isend(out + displs[sb] * esz, recvcounts[sb], dt, next);
-    s->add_irecv(out + displs[rb] * esz, recvcounts[rb], dt, prev);
-    s->next_round();
+  // Ring with per-block counts: step s forwards block r-s and receives
+  // block r-s-1; empty blocks are skipped on both ends alike.
+  const int next = (r + 1) % P, prev = (r + P - 1) % P;
+  for (int s = 0; s < P - 1; ++s) {
+    if (cnt(r - s) != 0) b.send(blk(r - s), next);
+    if (cnt(r - s - 1) != 0) b.recv(blk(r - s - 1), prev);
   }
-  return Sched::commit(std::move(s));
+  return ir::launch(b.finish(ir::Algo::ring, 0, v), inp ? nullptr : sendbuf,
+                    recvbuf, v, comm);
 }
 
 void allgatherv(const void* sendbuf, std::size_t sendcount,

@@ -27,8 +27,25 @@ const char* to_string(Algo a) {
     case Algo::rsag: return "rsag";
     case Algo::knomial: return "knomial";
     case Algo::scatter_ag: return "scatter_ag";
+    case Algo::dissemination: return "dissemination";
+    case Algo::linear: return "linear";
+    case Algo::pairwise: return "pairwise";
+    case Algo::chain: return "chain";
   }
   return "?";
+}
+
+bool blocked(CollKind kind) {
+  switch (kind) {
+    case CollKind::gather:
+    case CollKind::scatter:
+    case CollKind::allgather:
+    case CollKind::alltoall:
+    case CollKind::reduce_scatter_block:
+      return true;
+    default:
+      return false;
+  }
 }
 
 // ---- ScratchRecycler -------------------------------------------------------
@@ -107,7 +124,8 @@ std::size_t Schedule::slot_offset(std::uint16_t slot,
                                   std::size_t count) const {
   std::size_t off = 0;
   for (std::uint16_t i = 0; i < slot; ++i) {
-    off += align_up(slots[i].elems(count) * dt.size());
+    off += align_up(slots[i].elems(count) *
+                    static_cast<std::size_t>(dt.extent()));
   }
   return off;
 }
@@ -140,14 +158,23 @@ bool refs_conflict(const Ref& a, const Ref& b) {
   return parts_overlap(a.r, b.r);
 }
 
+bool parts_same_length(const Part& a, const Part& b, std::uint32_t unit) {
+  if (a == b) return true;
+  return a.div != 0 && b.div != 0 && unit % a.div == 0 &&
+         unit % b.div == 0 &&
+         static_cast<std::uint64_t>(a.b1 - a.b0) * b.div ==
+             static_cast<std::uint64_t>(b.b1 - b.b0) * a.div;
+}
+
 Builder::Builder(CollKind kind, dtype::Datatype dt, dtype::ReduceOp op,
-                 bool in_place, int rank, int size)
+                 bool in_place, int rank, int size, std::uint32_t unit)
     : kind_(kind), dt_(std::move(dt)), op_(op), in_place_(in_place),
-      rank_(rank), size_(size) {
-  expects(dt_.valid() && dt_.is_contiguous(),
-          "ir::Builder: requires a contiguous datatype");
+      rank_(rank), size_(size), unit_(unit) {
+  expects(dt_.valid() && dt_.extent() >= 0,
+          "ir::Builder: requires a valid datatype with nonnegative extent");
   expects(size_ >= 1 && rank_ >= 0 && rank_ < size_,
           "ir::Builder: rank out of range");
+  expects(unit_ >= 1, "ir::Builder: unit must be positive");
 }
 
 std::uint16_t Builder::scratch(Part size) {
@@ -255,10 +282,13 @@ void Builder::recv(Ref dst, int peer) {
 void Builder::reduce(Ref in, Ref inout) {
   check_ref(in);
   check_ref(inout);
-  // Identical Parts guarantee identical resolved lengths for every count
-  // (different-position ranges of equal rational width can floor to
-  // different element counts).
-  expects(in.r == inout.r, "ir::Builder::reduce: operand Parts must match");
+  // Different-position ranges of equal rational width can floor to
+  // different element counts unless the schedule's unit splits them
+  // exactly (parts_same_length).
+  expects(parts_same_length(in.r, inout.r, unit_),
+          "ir::Builder::reduce: operand lengths can differ");
+  expects(dt_.is_contiguous(),
+          "ir::Builder::reduce: reductions require a contiguous datatype");
   expects(inout.space != Space::send,
           "ir::Builder::reduce into the send buffer");
   Node nd;
@@ -271,7 +301,8 @@ void Builder::reduce(Ref in, Ref inout) {
 void Builder::copy(Ref src, Ref dst) {
   check_ref(src);
   check_ref(dst);
-  expects(src.r == dst.r, "ir::Builder::copy: operand Parts must match");
+  expects(parts_same_length(src.r, dst.r, unit_),
+          "ir::Builder::copy: operand lengths can differ");
   expects(dst.space != Space::send, "ir::Builder::copy into the send buffer");
   Node nd;
   nd.kind = NodeKind::copy;
@@ -303,6 +334,7 @@ SchedPtr Builder::materialize(Algo algo, int root,
   s->rank = rank_;
   s->size = size_;
   s->max_count = max_count;
+  s->unit = unit_;
   s->nreq = nreq_;
 
   const auto n = static_cast<std::uint32_t>(nodes_.size());

@@ -1,5 +1,6 @@
 // The collective schedule compiler: algorithm selection against the NIC
-// cost model and the per-algorithm IR builders.
+// cost model and the per-algorithm IR builders. Allreduce and bcast choose
+// among algorithms; every other kind has exactly one.
 //
 // Every builder is straight-line emission in program order; dependency
 // edges come from the Builder's hazard analysis (ir.cpp). Non-power-of-two
@@ -274,6 +275,169 @@ void build_reduce_knomial(Builder& b, int root, int k) {
   }
 }
 
+// ---- single-algorithm kinds ------------------------------------------------
+//
+// Blocked kinds (gather, scatter, allgather, alltoall, reduce_scatter_block)
+// run over a vector of P*count elements: block(P, i) is rank i's block of a
+// P-block buffer, and send_buf(block(P, 0)) names a count-sized send buffer.
+
+std::uint32_t u32(int v) { return static_cast<std::uint32_t>(v); }
+
+/// Block i (mod P) of the P-block vector.
+Part pblock(int P, int i) { return block(u32(P), u32(((i % P) + P) % P)); }
+
+/// Dissemination rounds for P ranks: ceil(log2 P).
+int dissemination_steps(int P) {
+  int rounds = 0;
+  for (int d = 1; d < P; d *= 2) ++rounds;
+  return rounds;
+}
+
+/// Dissemination barrier: round k sends a token to r + 2^k and receives
+/// one from r - 2^k. Tokens carry no data, so only their operands can
+/// order the rounds: one token slot of rounds+1 blocks, round k receives
+/// into block k+1, and a copy folds block k-1 into block k after round
+/// k-1's receive. Round k's send reads block k, so it follows EVERY
+/// earlier receive (no rank leaves before every rank has entered), while
+/// every receive still pre-posts at launch.
+void build_barrier(Builder& b) {
+  const int P = b.size(), r = b.rank();
+  const auto blocks_n = u32(dissemination_steps(P) + 1);
+  const std::uint16_t tok = b.scratch(full());
+  const auto t = [&](int j) {
+    return scratch_ref(tok, block(blocks_n, u32(j)));
+  };
+  for (int k = 0, d = 1; d < P; ++k, d *= 2) {
+    if (k > 0) b.copy(t(k - 1), t(k));
+    b.send(t(k), (r + d) % P);
+    b.recv(t(k + 1), (r - d + P) % P);
+  }
+}
+
+/// Linear gather: the root posts one receive per rank straight into that
+/// rank's block; every other rank sends its buffer.
+void build_gather_linear(Builder& b, int root) {
+  const int P = b.size(), r = b.rank();
+  if (r != root) {
+    b.send(send_buf(pblock(P, 0)), root);
+    return;
+  }
+  if (!b.in_place()) b.copy(send_buf(pblock(P, 0)), recv_buf(pblock(P, r)));
+  for (int i = 0; i < P; ++i) {
+    if (i != r) b.recv(recv_buf(pblock(P, i)), i);
+  }
+}
+
+/// Linear scatter. In place, the root's P blocks sit in the recv space and
+/// its own block stays where it is.
+void build_scatter_linear(Builder& b, int root) {
+  const int P = b.size(), r = b.rank();
+  if (r != root) {
+    b.recv(recv_buf(pblock(P, 0)), root);
+    return;
+  }
+  for (int i = 0; i < P; ++i) {
+    if (i == r) continue;
+    b.send(b.in_place() ? recv_buf(pblock(P, i)) : send_buf(pblock(P, i)), i);
+  }
+  if (!b.in_place()) b.copy(send_buf(pblock(P, r)), recv_buf(pblock(P, 0)));
+}
+
+/// Ring allgather: step s forwards block r-s to the next rank and receives
+/// block r-s-1 from the previous one. Every receive targets a distinct
+/// block, so all of them pre-post at launch.
+void build_allgather_ring(Builder& b) {
+  const int P = b.size(), r = b.rank();
+  if (!b.in_place()) b.copy(send_buf(pblock(P, 0)), recv_buf(pblock(P, r)));
+  const int next = (r + 1) % P, prev = (r + P - 1) % P;
+  for (int s = 0; s < P - 1; ++s) {
+    // The first send reads the caller's buffer, not the copy.
+    b.send(s == 0 && !b.in_place() ? send_buf(pblock(P, 0))
+                                   : recv_buf(pblock(P, r - s)),
+           next);
+    b.recv(recv_buf(pblock(P, r - s - 1)), prev);
+  }
+}
+
+/// Pairwise alltoall: one exchange with every other rank, all posted at
+/// once (rank r sends block r+s to r+s and receives block r-s from r-s).
+void build_alltoall_pairwise(Builder& b) {
+  const int P = b.size(), r = b.rank();
+  b.copy(send_buf(pblock(P, r)), recv_buf(pblock(P, r)));
+  for (int s = 1; s < P; ++s) {
+    const int dst = (r + s) % P, src = (r - s + P) % P;
+    b.recv(recv_buf(pblock(P, src)), src);
+    b.send(send_buf(pblock(P, dst)), dst);
+  }
+}
+
+/// Ring reduce-scatter: step s forwards the partial result of block r-s-1
+/// and receives the partial of block r-s-2 into its own scratch block,
+/// where the local contribution is folded in. The last partial to arrive
+/// is the rank's own block. Every receive lands in a distinct scratch
+/// block, so all of them pre-post. In place, the input vector is the recv
+/// buffer and the result overwrites its first block.
+void build_reduce_scatter_ring(Builder& b) {
+  const int P = b.size(), r = b.rank();
+  const Ref out = recv_buf(pblock(P, 0));
+  const auto in = [&](int i) {
+    return b.in_place() ? recv_buf(pblock(P, i)) : send_buf(pblock(P, i));
+  };
+  if (P == 1) {
+    if (!b.in_place()) b.copy(in(0), out);
+    return;
+  }
+  const int next = (r + 1) % P, prev = (r + P - 1) % P;
+  const std::uint16_t acc = b.scratch(full());
+  for (int s = 0; s < P - 1; ++s) {
+    b.send(s == 0 ? in(r - 1) : scratch_ref(acc, pblock(P, r - s - 1)),
+           next);
+    b.recv(scratch_ref(acc, pblock(P, r - s - 2)), prev);
+    b.reduce(in(r - s - 2), scratch_ref(acc, pblock(P, r - s - 2)));
+  }
+  b.copy(scratch_ref(acc, pblock(P, r)), out);
+}
+
+/// Chain scan: rank r receives op(x_0..x_{r-1}) from r-1, folds in its own
+/// contribution and forwards the prefix to r+1.
+void build_scan_chain(Builder& b) {
+  const int P = b.size(), r = b.rank();
+  const Ref out = recv_buf(full());
+  if (r == 0) {
+    if (!b.in_place()) b.copy(send_buf(full()), out);
+  } else if (b.in_place()) {
+    const std::uint16_t t = b.scratch(full());
+    b.recv(scratch_ref(t, full()), r - 1);
+    b.reduce(scratch_ref(t, full()), out);
+  } else {
+    b.recv(out, r - 1);
+    b.reduce(send_buf(full()), out);
+  }
+  if (r < P - 1) b.send(out, r + 1);
+}
+
+/// Chain exscan: rank r receives op(x_0..x_{r-1}) straight into its recv
+/// buffer (rank 0's stays untouched) and forwards that prefix folded with
+/// its own contribution.
+void build_exscan_chain(Builder& b) {
+  const int P = b.size(), r = b.rank();
+  const Ref out = recv_buf(full());
+  const Ref mine = b.in_place() ? out : send_buf(full());
+  if (r == 0) {
+    if (P > 1) b.send(mine, 1);
+    return;
+  }
+  if (r == P - 1) {
+    b.recv(out, r - 1);
+    return;
+  }
+  const Ref fwd = scratch_ref(b.scratch(full()), full());
+  b.copy(mine, fwd);
+  b.recv(out, r - 1);
+  b.reduce(out, fwd);
+  b.send(fwd, r + 1);
+}
+
 // ---- selection -------------------------------------------------------------
 
 /// Tree radix for knomial bcast/reduce: depth shrinks with k but a parent
@@ -306,13 +470,30 @@ int knomial_radix(int P, double bytes, const net::CostModel& net) {
 Algo env_algo() {
   static const Algo a = [] {
     const std::string s = base::cvar_string("MPX_COLL_ALGO", "auto");
-    for (const Algo c : {Algo::rd, Algo::ring, Algo::rsag, Algo::knomial,
-                         Algo::scatter_ag}) {
+    for (const Algo c :
+         {Algo::rd, Algo::ring, Algo::rsag, Algo::knomial, Algo::scatter_ag,
+          Algo::dissemination, Algo::linear, Algo::pairwise, Algo::chain}) {
       if (s == to_string(c)) return c;
     }
     return Algo::auto_;
   }();
   return a;
+}
+
+/// The one algorithm of each single-algorithm kind.
+Algo fixed_algo(CollKind kind) {
+  switch (kind) {
+    case CollKind::barrier: return Algo::dissemination;
+    case CollKind::gather:
+    case CollKind::scatter: return Algo::linear;
+    case CollKind::allgather:
+    case CollKind::reduce_scatter_block: return Algo::ring;
+    case CollKind::alltoall: return Algo::pairwise;
+    case CollKind::scan:
+    case CollKind::exscan: return Algo::chain;
+    case CollKind::reduce: return Algo::knomial;
+    default: return Algo::auto_;
+  }
 }
 
 bool algo_valid_for(CollKind kind, Algo a) {
@@ -321,10 +502,9 @@ bool algo_valid_for(CollKind kind, Algo a) {
       return a == Algo::rd || a == Algo::ring || a == Algo::rsag;
     case CollKind::bcast:
       return a == Algo::knomial || a == Algo::scatter_ag;
-    case CollKind::reduce:
-      return a == Algo::knomial;
+    default:
+      return a == fixed_algo(kind);
   }
-  return false;
 }
 
 }  // namespace
@@ -365,10 +545,9 @@ Algo select_algo(CollKind kind, std::size_t bytes, int size,
                            (P - 1) * a + B * be * (P - 1) / P;  // ring AG
       return c_kno <= c_sag ? Algo::knomial : Algo::scatter_ag;
     }
-    case CollKind::reduce:
-      return Algo::knomial;
+    default:
+      return fixed_algo(kind);
   }
-  return Algo::rd;
 }
 
 // ---- count classes ---------------------------------------------------------
@@ -409,16 +588,23 @@ Algo resolve_algo(CollKind kind, std::size_t bytes, int size,
 SchedPtr compile(CollKind kind, std::size_t count, dtype::Datatype dt,
                  dtype::ReduceOp op, bool in_place, int root, int rank,
                  int size, const net::CostModel& net, Algo force) {
-  expects(dt.valid() && dt.is_contiguous(),
-          "ir::compile: requires a contiguous datatype");
+  expects(dt.valid(), "ir::compile: invalid datatype");
   expects(root >= 0 && root < size, "ir::compile: root out of range");
+  expects(!blocked(kind) || count % static_cast<std::size_t>(size) == 0,
+          "ir::compile: blocked kinds take a vector of P*count elements");
   const std::size_t esz = dt.size();
   const int cls = count_class(count * esz);
   const std::size_t max_count =
       esz == 0 ? count : std::max(count, class_max_bytes(cls) / esz);
   const Algo algo =
       resolve_algo(kind, class_max_bytes(cls), size, net, force);
-  Builder b(kind, std::move(dt), op, in_place, rank, size);
+  // Blocked kinds run at multiples of P; the barrier's token copies move
+  // between blocks of its token slot (and it always runs at count 0).
+  const std::uint32_t unit = blocked(kind) ? u32(size)
+                             : kind == CollKind::barrier
+                                 ? u32(dissemination_steps(size) + 1)
+                                 : 1;
+  Builder b(kind, std::move(dt), op, in_place, rank, size, unit);
   switch (kind) {
     case CollKind::allreduce:
       if (algo == Algo::ring) {
@@ -447,6 +633,30 @@ SchedPtr compile(CollKind kind, std::size_t count, dtype::Datatype dt,
           b, root,
           knomial_radix(size, static_cast<double>(class_max_bytes(cls)),
                         net));
+      break;
+    case CollKind::barrier:
+      build_barrier(b);
+      break;
+    case CollKind::gather:
+      build_gather_linear(b, root);
+      break;
+    case CollKind::scatter:
+      build_scatter_linear(b, root);
+      break;
+    case CollKind::allgather:
+      build_allgather_ring(b);
+      break;
+    case CollKind::alltoall:
+      build_alltoall_pairwise(b);
+      break;
+    case CollKind::reduce_scatter_block:
+      build_reduce_scatter_ring(b);
+      break;
+    case CollKind::scan:
+      build_scan_chain(b);
+      break;
+    case CollKind::exscan:
+      build_exscan_chain(b);
       break;
   }
   return b.finish(algo, root, max_count);

@@ -157,6 +157,8 @@ void arm(ExecCursor& c, const void* sendbuf, void* recvbuf,
   const Schedule& s = *c.sched;
   expects(count <= s.max_count,
           "coll ir: count exceeds the schedule's count class");
+  expects(count % s.unit == 0,
+          "coll ir: count is not a multiple of the schedule's unit");
   c.sbuf = static_cast<const std::byte*>(sendbuf);
   c.rbuf = static_cast<std::byte*>(recvbuf);
   c.count = count;
@@ -196,15 +198,18 @@ void destroy_cursor(ExecCursor* c) {
 
 /// Resolve an operand against the armed buffers. Scratch refs index within
 /// their slot's arena window; user-space refs index the user buffers.
+/// Elements are `extent` bytes apart (equal to the size for contiguous
+/// types).
 std::byte* ref_ptr(const ExecCursor& c, const Ref& r) {
-  const std::size_t esz = c.sched->dt.size();
+  const std::size_t off =
+      r.r.lo(c.count) * static_cast<std::size_t>(c.sched->dt.extent());
   switch (r.space) {
     case Space::send:
-      return const_cast<std::byte*>(c.sbuf) + r.r.lo(c.count) * esz;
+      return const_cast<std::byte*>(c.sbuf) + off;
     case Space::recv:
-      return c.rbuf + r.r.lo(c.count) * esz;
+      return c.rbuf + off;
     case Space::scratch:
-      return c.arena + c.slot_off[r.slot] + r.r.lo(c.count) * esz;
+      return c.arena + c.slot_off[r.slot] + off;
     case Space::none:
       break;
   }
@@ -216,9 +221,8 @@ std::byte* ref_ptr(const ExecCursor& c, const Ref& r) {
 ///
 /// This runs inside the progress engine, on the VCI whose lock the engine
 /// already holds; isend/irecv re-acquire that same lock recursively — the
-/// sanctioned re-entry the VCI mutex is recursive for, identical to
-/// Sched::issue_round firing from the coll-hook stage.
-// mpxlint: allow(progress-contract) posting re-enters the held recursive VCI lock, like Sched::issue_round
+/// sanctioned re-entry the VCI mutex is recursive for.
+// mpxlint: allow(progress-contract) posting re-enters the held recursive VCI lock
 void post_node(ExecCursor& c, std::uint32_t nid) {
   const Schedule& s = *c.sched;
   const Node& nd = s.nodes[nid];
@@ -232,14 +236,32 @@ void post_node(ExecCursor& c, std::uint32_t nid) {
   }
 }
 
+/// Copy `n` elements of a non-contiguous type between two buffers of that
+/// layout, one flattened piece at a time (the gaps stay untouched).
+void typed_copy(std::byte* dst, const std::byte* src, std::size_t n,
+                const dtype::Datatype& dt) {
+  const std::ptrdiff_t ext = dt.extent();
+  for (std::size_t e = 0; e < n; ++e) {
+    for (const dtype::Iov& p : dt.iov()) {
+      const std::ptrdiff_t off =
+          static_cast<std::ptrdiff_t>(e) * ext + p.offset;
+      std::memcpy(dst + off, src + off, p.length);
+    }
+  }
+}
+
 /// Execute a local (copy/reduce/fn) node.
 void exec_local(ExecCursor& c, const Node& nd) {
   const Schedule& s = *c.sched;
-  const std::size_t esz = s.dt.size();
   switch (nd.kind) {
     case NodeKind::copy: {
-      const std::size_t bytes = nd.b.r.elems(c.count) * esz;
-      if (bytes != 0) std::memcpy(ref_ptr(c, nd.b), ref_ptr(c, nd.a), bytes);
+      const std::size_t elems = nd.b.r.elems(c.count);
+      if (elems == 0) break;
+      if (s.dt.is_contiguous()) {
+        std::memcpy(ref_ptr(c, nd.b), ref_ptr(c, nd.a), elems * s.dt.size());
+      } else {
+        typed_copy(ref_ptr(c, nd.b), ref_ptr(c, nd.a), elems, s.dt);
+      }
       break;
     }
     case NodeKind::reduce: {
@@ -256,7 +278,7 @@ void exec_local(ExecCursor& c, const Node& nd) {
       v.recvbuf = c.rbuf;
       v.scratch = c.arena;
       v.count = c.count;
-      v.esz = esz;
+      v.esz = static_cast<std::size_t>(s.dt.extent());
       v.rank = s.rank;
       v.size = s.size;
       s.fns[nd.fn_id](v);

@@ -1,9 +1,9 @@
 // Cache front end of the collective schedule compiler: the per-comm
-// SchedCache lives in the communicator's extension slot, and the public
-// iallreduce/ibcast/ireduce entry points resolve (algorithm, count class)
-// to a key, fetch-or-compile the schedule, and hand it to the executor.
-// Steady state is find() -> launch(): one acquire load, a short scan, and
-// pooled cursor arming — no planning, no allocation.
+// SchedCache lives in the communicator's extension slot, and every
+// collective entry point resolves (kind, algorithm, count class) to a key,
+// fetches or compiles the schedule, and hands it to the executor. Steady
+// state is find() -> launch(): one acquire load, a short scan, and pooled
+// cursor arming — no planning, no allocation.
 #include <memory>
 #include <utility>
 
@@ -38,8 +38,12 @@ void verify_before_insert(CollKind kind, std::size_t count,
       ranks[static_cast<std::size_t>(r)] = mine;
       continue;
     }
-    // Reduce is in-place only at the root; every other shape is uniform.
-    const bool inp_r = kind == CollKind::reduce ? (r == root && inp) : inp;
+    // Rooted kinds are in-place only at the root; every other shape is
+    // uniform.
+    const bool rooted = kind == CollKind::reduce ||
+                        kind == CollKind::gather ||
+                        kind == CollKind::scatter;
+    const bool inp_r = rooted ? (r == root && inp) : inp;
     ranks[static_cast<std::size_t>(r)] =
         compile(kind, count, dt, op, inp_r, root, r, size, net, algo);
   }
@@ -57,13 +61,15 @@ void verify_before_insert(CollKind kind, std::size_t count,
   if (!rep.ok()) throw verify::ScheduleVerifyError(std::move(rep));
 }
 
+}  // namespace
+
 SchedPtr get_or_compile(CollKind kind, std::size_t count, dtype::Datatype dt,
                         dtype::ReduceOp op, bool inp, int root,
                         const Comm& comm, const Opts& opts) {
   const std::size_t bytes = count * dt.size();
   const net::CostModel& net = comm.world().config().net;
   const Algo algo = resolve_algo(kind, bytes, comm.size(), net, opts.algo);
-  if (!opts.use_cache) {
+  if (!opts.use_cache || !dt.is_contiguous()) {
     return compile(kind, count, dt, op, inp, root, comm.rank(), comm.size(),
                    net, algo);
   }
@@ -92,18 +98,12 @@ SchedPtr get_or_compile(CollKind kind, std::size_t count, dtype::Datatype dt,
   return s;  // table at capacity: run the private copy uncached
 }
 
-}  // namespace
-
 CollCommExt& coll_ext(const Comm& comm) {
   core_detail::CommExt* e = core_detail::comm_ext(comm);
   if (e == nullptr) {
     e = core_detail::comm_ext_get_or_install(comm, &make_coll_ext, nullptr);
   }
   return *static_cast<CollCommExt*>(e);
-}
-
-bool eligible(const dtype::Datatype& dt) {
-  return dt.valid() && dt.is_contiguous() && dt.size() > 0;
 }
 
 CacheStats cache_stats(const Comm& comm) {
@@ -126,11 +126,13 @@ CacheStats cache_stats(const Comm& comm) {
 Request iallreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                    dtype::Datatype dt, dtype::ReduceOp op, const Comm& comm,
                    Opts opts) {
-  expects(comm.valid() && recvbuf != nullptr,
+  expects(comm.valid() && (recvbuf != nullptr || count == 0),
           "coll ir iallreduce: bad arguments");
-  expects(eligible(dt), "coll ir iallreduce: datatype not compilable");
+  expects(dt.valid() && dt.is_contiguous(),
+          "coll ir iallreduce: reductions require contiguous datatypes");
   const bool inp = sendbuf == coll::in_place;
-  expects(inp || sendbuf != nullptr, "coll ir iallreduce: null sendbuf");
+  expects(inp || sendbuf != nullptr || count == 0,
+          "coll ir iallreduce: null sendbuf");
   SchedPtr s = get_or_compile(CollKind::allreduce, count, std::move(dt), op,
                               inp, /*root=*/0, comm, opts);
   return launch(std::move(s), inp ? nullptr : sendbuf, recvbuf, count, comm);
@@ -138,9 +140,10 @@ Request iallreduce(const void* sendbuf, void* recvbuf, std::size_t count,
 
 Request ibcast(void* buf, std::size_t count, dtype::Datatype dt, int root,
                const Comm& comm, Opts opts) {
-  expects(comm.valid() && buf != nullptr && root >= 0 && root < comm.size(),
+  expects(comm.valid() && (buf != nullptr || count == 0) && root >= 0 &&
+              root < comm.size(),
           "coll ir ibcast: bad arguments");
-  expects(eligible(dt), "coll ir ibcast: datatype not compilable");
+  expects(dt.valid(), "coll ir ibcast: invalid datatype");
   // Bcast data lives in the recv space; there is no send buffer.
   SchedPtr s = get_or_compile(CollKind::bcast, count, std::move(dt),
                               dtype::ReduceOp::sum, /*inp=*/true, root, comm,
@@ -153,15 +156,17 @@ Request ireduce(const void* sendbuf, void* recvbuf, std::size_t count,
                 const Comm& comm, Opts opts) {
   expects(comm.valid() && root >= 0 && root < comm.size(),
           "coll ir ireduce: bad arguments");
-  expects(eligible(dt), "coll ir ireduce: datatype not compilable");
+  expects(dt.valid() && dt.is_contiguous(),
+          "coll ir ireduce: reductions require contiguous datatypes");
   const bool inp = sendbuf == coll::in_place;
   // MPI semantics: in-place only at the root (the contribution is in
   // recvbuf there); non-roots contribute sendbuf and may pass a null
   // recvbuf.
   expects(!inp || comm.rank() == root,
           "coll ir ireduce: in_place is root-only");
-  expects(inp || sendbuf != nullptr, "coll ir ireduce: null sendbuf");
-  expects(comm.rank() != root || recvbuf != nullptr,
+  expects(inp || sendbuf != nullptr || count == 0,
+          "coll ir ireduce: null sendbuf");
+  expects(comm.rank() != root || recvbuf != nullptr || count == 0,
           "coll ir ireduce: null recvbuf at root");
   SchedPtr s = get_or_compile(CollKind::reduce, count, std::move(dt), op,
                               inp, root, comm, opts);
@@ -171,11 +176,13 @@ Request ireduce(const void* sendbuf, void* recvbuf, std::size_t count,
 Request allreduce_init(const void* sendbuf, void* recvbuf, std::size_t count,
                        dtype::Datatype dt, dtype::ReduceOp op,
                        const Comm& comm, Opts opts) {
-  expects(comm.valid() && recvbuf != nullptr,
+  expects(comm.valid() && (recvbuf != nullptr || count == 0),
           "coll ir allreduce_init: bad arguments");
-  expects(eligible(dt), "coll ir allreduce_init: datatype not compilable");
+  expects(dt.valid() && dt.is_contiguous(),
+          "coll ir allreduce_init: reductions require contiguous datatypes");
   const bool inp = sendbuf == coll::in_place;
-  expects(inp || sendbuf != nullptr, "coll ir allreduce_init: null sendbuf");
+  expects(inp || sendbuf != nullptr || count == 0,
+          "coll ir allreduce_init: null sendbuf");
   SchedPtr s = get_or_compile(CollKind::allreduce, count, std::move(dt), op,
                               inp, /*root=*/0, comm, opts);
   return persistent_launch(std::move(s), inp ? nullptr : sendbuf, recvbuf,

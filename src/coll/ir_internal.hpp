@@ -21,6 +21,12 @@ bool parts_overlap(const Part& x, const Part& y);
 /// node's whole-memory barrier; distinct spaces/slots are disjoint).
 bool refs_conflict(const Ref& a, const Ref& b);
 
+/// Do copy/reduce operands resolve to equal lengths at every count that is
+/// a multiple of `unit`? Identical Parts always do; Parts of equal width do
+/// when both divisors divide `unit` (such counts split into exact blocks).
+/// The Builder and the verifier's structure pass share this rule.
+bool parts_same_length(const Part& a, const Part& b, std::uint32_t unit);
+
 // ir_compile.cpp ------------------------------------------------------------
 
 /// Count class of a byte length: bucketed bit-width (MPX_COLL_CLASS_STEP
@@ -53,9 +59,16 @@ struct CollCommExt final : core_detail::CommExt {
 /// The ext slot of `comm`'s primary impl, installed on first use.
 CollCommExt& coll_ext(const Comm& comm);
 
+/// Resolve the algorithm, then fetch the schedule from the comm's cache or
+/// compile it (uncached for non-contiguous datatypes or
+/// `opts.use_cache = false`). `count` is the schedule's vector length.
+SchedPtr get_or_compile(CollKind kind, std::size_t count, dtype::Datatype dt,
+                        dtype::ReduceOp op, bool inp, int root,
+                        const Comm& comm, const Opts& opts);
+
 // ir_exec.cpp ---------------------------------------------------------------
 
-/// Persistent allreduce over a pinned cursor: each start() re-arms
+/// Persistent collective over a pinned cursor: each start() re-arms
 /// pre-built state (schedule, cursor, scratch, request slots) — no
 /// allocation and no planning per cycle.
 Request persistent_launch(SchedPtr sched, const void* sendbuf, void* recvbuf,

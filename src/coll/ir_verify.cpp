@@ -286,8 +286,7 @@ bool check_structure(const Schedule& s, Report& rep) {
       case NodeKind::copy:
         check_operand(s, id, nd.a, false, rep);
         check_operand(s, id, nd.b, true, rep);
-        // Equal Parts guarantee equal resolved lengths at every count.
-        if (!(nd.a.r == nd.b.r)) {
+        if (!parts_same_length(nd.a.r, nd.b.r, s.unit)) {
           diag(rep, Check::structure,
                rk(s) + "node " + std::to_string(id) +
                    ": operand Parts differ (resolved lengths can diverge)",
@@ -556,13 +555,18 @@ void check_acyclic(const std::vector<SchedPtr>& scheds,
        std::move(trace));
 }
 
-std::vector<std::size_t> default_probes(std::size_t max_count) {
-  std::vector<std::size_t> p{1, 2, max_count / 2 + 1, max_count};
+/// Class corners plus an odd interior point, in multiples of the
+/// schedule's unit (the only counts it ever runs at).
+std::vector<std::size_t> default_probes(std::size_t max_count,
+                                        std::uint32_t unit) {
+  const std::size_t m = max_count / unit;
+  std::vector<std::size_t> p{1, 2, m / 2 + 1, m};
   std::sort(p.begin(), p.end());
   p.erase(std::unique(p.begin(), p.end()), p.end());
-  while (!p.empty() && p.back() > std::max<std::size_t>(max_count, 1)) {
+  while (!p.empty() && p.back() > std::max<std::size_t>(m, 1)) {
     p.pop_back();
   }
+  for (std::size_t& c : p) c *= unit;
   return p;
 }
 
@@ -607,10 +611,10 @@ Report verify_ranks(const std::vector<SchedPtr>& scheds,
     }
     if (s.kind != first.kind || s.op != first.op ||
         s.root != first.root || s.dt.size() != first.dt.size() ||
-        s.max_count != first.max_count) {
+        s.max_count != first.max_count || s.unit != first.unit) {
       diag(rep, Check::structure,
            rk(s) + "disagrees with rank 0 on kind/op/root/dtype size/"
-                   "max_count — ranks compiled different collectives");
+                   "max_count/unit — ranks compiled different collectives");
     }
   }
   if (!rep.diags.empty()) return rep;
@@ -625,7 +629,8 @@ Report verify_ranks(const std::vector<SchedPtr>& scheds,
   }
 
   const std::vector<std::size_t> probes =
-      probe_counts.empty() ? default_probes(first.max_count) : probe_counts;
+      probe_counts.empty() ? default_probes(first.max_count, first.unit)
+                           : probe_counts;
   rep.counts_probed = probes.size();
   const auto pairs = check_matching(scheds, probes, rep);
   check_acyclic(scheds, pairs, rep);
@@ -672,6 +677,7 @@ std::shared_ptr<Schedule> clone(const Schedule& s) {
   c->rank = s.rank;
   c->size = s.size;
   c->max_count = s.max_count;
+  c->unit = s.unit;
   c->nodes = s.nodes;
   c->succ = s.succ;
   c->succ_off = s.succ_off;

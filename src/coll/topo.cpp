@@ -1,9 +1,9 @@
 #include "mpx/coll/topo.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <memory>
+#include <cstdint>
 
+#include "mpx/coll/ir.hpp"
 #include "mpx/core/waittest.hpp"
 
 namespace mpx::coll {
@@ -104,29 +104,43 @@ std::vector<int> dims_create(int nranks, int ndims) {
 
 namespace {
 
+/// Both buffers are blocked by neighbor slot, so the schedule's vector is
+/// slots*count elements; the allgather send buffer is block 0. Built per
+/// call (uncached): the grid shape lives in the Cart, not the cache key.
 Request neighbor_exchange(const void* sendbuf, std::size_t count,
                           const dtype::Datatype& dt, void* recvbuf,
                           const Cart& cart, bool alltoall) {
   expects(cart.valid(), "neighbor collective: invalid topology");
-  auto s = std::make_unique<Sched>(cart.comm());
+  const Comm& comm = cart.comm();
+  const int me = comm.rank();
   const std::vector<int> nbrs = cart.neighbors();
-  const std::size_t block = count * dt.size();
-  const auto* in = static_cast<const std::byte*>(sendbuf);
-  auto* out = static_cast<std::byte*>(recvbuf);
-
-  // Per-edge tag offsets: in degenerate grids (a periodic dimension of
-  // size <= 2) the same peer serves several direction slots, so matching by
-  // (peer, tag) alone would cross the edges. A message sent via slot j
-  // travels the edge the RECEIVER sees as slot j^1 (negative <-> positive),
-  // so sends are tagged with their own slot and receives with the peer's.
-  for (std::size_t j = 0; j < nbrs.size(); ++j) {
-    const int nbr = nbrs[j];
-    if (nbr < 0) continue;  // MPI_PROC_NULL: skip, leave the slot untouched
-    const std::byte* src = alltoall ? in + j * block : in;
-    s->add_isend(src, count, dt, nbr, static_cast<int>(j));
-    s->add_irecv(out + j * block, count, dt, nbr, static_cast<int>(j ^ 1));
+  const auto slots = static_cast<std::uint32_t>(nbrs.size());
+  ir::Builder b(alltoall ? ir::CollKind::alltoall : ir::CollKind::allgather,
+                dt, dtype::ReduceOp::sum, false, me, comm.size(), slots);
+  const auto src = [&](std::uint32_t j) {
+    return ir::send_buf(ir::block(slots, alltoall ? j : 0));
+  };
+  // -1 neighbors (MPI_PROC_NULL) are skipped and their slots untouched.
+  for (std::uint32_t j = 0; j < slots; ++j) {
+    if (nbrs[j] >= 0 && nbrs[j] != me) b.send(src(j), nbrs[j]);
   }
-  return Sched::commit(std::move(s));
+  // A message sent via slot s lands in the receiver's slot s^1 (negative
+  // <-> positive). In degenerate periodic grids one peer fills both slots
+  // of a dimension, and the Builder tags messages per (peer, direction) in
+  // emission order, so receives follow the SENDER's slot order. A
+  // self-neighbor's edge is a local copy.
+  for (std::uint32_t s = 0; s < slots; ++s) {
+    const std::uint32_t j = s ^ 1;
+    if (nbrs[j] < 0) continue;
+    if (nbrs[j] == me) {
+      b.copy(src(s), ir::recv_buf(ir::block(slots, j)));
+    } else {
+      b.recv(ir::recv_buf(ir::block(slots, j)), nbrs[j]);
+    }
+  }
+  const std::size_t v = slots * count;
+  return ir::launch(b.finish(ir::Algo::pairwise, 0, v), sendbuf, recvbuf, v,
+                    comm);
 }
 
 }  // namespace

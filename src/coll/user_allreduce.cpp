@@ -98,7 +98,7 @@ Err user_allreduce(void* buf, std::size_t count, dtype::Datatype dt,
                    dtype::ReduceOp op, const Comm& comm) {
   expects(comm.valid() && (buf != nullptr || count == 0),
           "user_allreduce: invalid communicator or null buffer");
-  if (!ir::eligible(dt)) return Err::unsupported;
+  if (!dt.valid() || !dt.is_contiguous()) return Err::unsupported;
   if (count == 0) return Err::success;
   // The compiler's non-power-of-two fold phases generalize Listing 1.8's
   // recursive doubling; repeated shapes are served from the comm's cache.

@@ -242,6 +242,7 @@ Comm Comm::coll_view() const {
     ci->context_id = impl_->coll_context_id;
     ci->coll_context_id = impl_->coll_context_id;
     ci->group = impl_->group;
+    ci->coll_seq.assign(ci->group.size(), 0);
     ci->vcis = impl_->vcis;
     ci->world_to_comm = impl_->world_to_comm;
     impl_->coll_clone = std::move(ci);
@@ -251,15 +252,10 @@ Comm Comm::coll_view() const {
 
 int Comm::next_coll_tag() const {
   expects(valid(), "Comm::next_coll_tag: invalid communicator");
-  if (impl_->coll_seq.empty()) {
-    // Lazily sized; only resized once under the clone mutex.
-    base::LockGuard<base::InstrumentedMutex> g(impl_->clone_mu);
-    if (impl_->coll_seq.empty()) impl_->coll_seq.assign(impl_->group.size(), 0);
-  }
   int& slot = impl_->coll_seq[static_cast<std::size_t>(my_rank_)];
   const int tag = slot;
-  // Each collective instance owns a 64-tag range so schedules can offset
-  // tags for multiple same-peer ops within one round (see Sched).
+  // Each collective instance owns a 64-tag range so a schedule can give
+  // several same-peer messages distinct tags (see coll::ir::Builder).
   slot = (slot + 64) & 0x3FFFFFFF;
   return tag;
 }
@@ -281,6 +277,7 @@ std::shared_ptr<CommImpl> build_comm(World& w,
   ci->context_id = w.alloc_context_ids(2);
   ci->coll_context_id = ci->context_id + 1;
   ci->group = group_world;
+  ci->coll_seq.assign(group_world.size(), 0);
   ci->vcis = vcis;
   ci->world_to_comm.assign(static_cast<std::size_t>(w.size()), -1);
   for (std::size_t i = 0; i < group_world.size(); ++i) {

@@ -157,6 +157,7 @@ World::World(WorldConfig cfg) : s_(std::make_unique<State>()) {
   ci->context_id = 0;
   ci->coll_context_id = 1;
   ci->group.resize(static_cast<std::size_t>(cfg.nranks));
+  ci->coll_seq.assign(static_cast<std::size_t>(cfg.nranks), 0);
   ci->vcis.assign(static_cast<std::size_t>(cfg.nranks), 0);
   ci->world_to_comm.resize(static_cast<std::size_t>(cfg.nranks));
   for (int r = 0; r < cfg.nranks; ++r) {

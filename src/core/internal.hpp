@@ -256,9 +256,9 @@ struct CommImpl {
   std::vector<int> world_to_comm; ///< world rank -> comm rank (or -1) — mpxlint: allow(tsa-ratchet) immutable
   std::unique_ptr<Coordinator> coord;
 
-  /// Per-member collective sequence numbers (each member touches only its
-  /// own slot). Identical call order on all members — an MPI requirement —
-  /// yields matching tags.
+  /// Per-member collective sequence numbers, sized with the group at
+  /// construction (each member touches only its own slot). Identical call
+  /// order on all members — an MPI requirement — yields matching tags.
   // mpxlint: allow(tsa-ratchet) each member mutates only its own slot
   std::vector<int> coll_seq;
   /// Lazily-built view whose p2p context is the collective context.

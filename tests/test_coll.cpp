@@ -2,10 +2,15 @@
 // sizes, and both transports (parameterized sweeps).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "mpx/coll/coll.hpp"
+#include "mpx/coll/ir.hpp"
 #include "mpx/coll/user_allreduce.hpp"
 #include "test_util.hpp"
 
@@ -157,6 +162,81 @@ TEST_P(CollSweep, GatherScatterRoundTrip) {
   });
 }
 
+TEST_P(CollSweep, InPlaceVariants) {
+  auto w = make_world();
+  const auto p = GetParam();
+  mpx_test::run_ranks(*w, [&](int rank) {
+    Comm c = w->comm_world(rank);
+    const int n = c.size();
+    const int root = n - 1;
+    const std::size_t cnt = p.count;
+    const std::size_t total = cnt * static_cast<std::size_t>(n);
+    const auto me = static_cast<std::size_t>(rank);
+    const auto dt = dtype::Datatype::int32();
+    const auto sum = dtype::ReduceOp::sum;
+    const auto val = [](std::size_t r, std::size_t i) {
+      return static_cast<std::int32_t>(r * 100 + i);
+    };
+
+    // allgather: each rank's own block is already in place.
+    std::vector<std::int32_t> all(total, -1);
+    for (std::size_t i = 0; i < cnt; ++i) all[me * cnt + i] = val(me, i);
+    coll::allgather(coll::in_place, cnt, dt, all.data(), c);
+    for (std::size_t i = 0; i < total; ++i) {
+      ASSERT_EQ(all[i], val(i / cnt, i % cnt)) << "allgather i=" << i;
+    }
+
+    // gather: in place at the root only (its block is already there);
+    // non-roots pass no receive buffer.
+    std::vector<std::int32_t> mine(cnt), g(total, -1);
+    for (std::size_t i = 0; i < cnt; ++i) mine[i] = val(me, i);
+    if (rank == root) {
+      std::copy(mine.begin(), mine.end(), g.begin() + me * cnt);
+      coll::gather(coll::in_place, cnt, dt, g.data(), root, c);
+      EXPECT_EQ(g, all) << "gather";
+    } else {
+      coll::gather(mine.data(), cnt, dt, nullptr, root, c);
+    }
+
+    // scatter: in place at the root, whose own block stays in sendbuf.
+    std::vector<std::int32_t> part(cnt, -1);
+    if (rank == root) {
+      coll::scatter(all.data(), cnt, dt, const_cast<void*>(coll::in_place),
+                    root, c);
+    } else {
+      coll::scatter(nullptr, cnt, dt, part.data(), root, c);
+      EXPECT_EQ(part, mine) << "scatter";
+    }
+
+    // reduce_scatter_block: input in recvbuf, result in its first block.
+    std::vector<std::int32_t> rs(total);
+    for (std::size_t j = 0; j < total; ++j) {
+      rs[j] = static_cast<std::int32_t>(me + j);
+    }
+    coll::reduce_scatter_block(coll::in_place, rs.data(), cnt, dt, sum, c);
+    for (std::size_t i = 0; i < cnt; ++i) {
+      ASSERT_EQ(rs[i], n * static_cast<std::int32_t>(me * cnt + i) +
+                           n * (n - 1) / 2)
+          << "reduce_scatter_block i=" << i;
+    }
+
+    // scan / exscan: the contribution starts in recvbuf.
+    std::vector<std::int32_t> sc(cnt), ex(cnt);
+    for (std::size_t i = 0; i < cnt; ++i) {
+      sc[i] = ex[i] = static_cast<std::int32_t>(me + 1 + i);
+    }
+    coll::scan(coll::in_place, sc.data(), cnt, dt, sum, c);
+    coll::exscan(coll::in_place, ex.data(), cnt, dt, sum, c);
+    const auto r32 = static_cast<std::int32_t>(rank);
+    for (std::size_t i = 0; i < cnt; ++i) {
+      const auto i32 = static_cast<std::int32_t>(i);
+      ASSERT_EQ(sc[i], (r32 + 1) * (r32 + 2) / 2 + (r32 + 1) * i32);
+      ASSERT_EQ(ex[i], rank == 0 ? 1 + i32 : r32 * (r32 + 1) / 2 + r32 * i32);
+    }
+    w->finalize_rank(rank);
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sizes, CollSweep,
     ::testing::Values(CollParam{1, 0, 4}, CollParam{2, 0, 1},
@@ -171,6 +251,28 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(p.count);
     });
 
+TEST(CollBarrier, NoRankLeavesBeforeTheLastArrives) {
+  // One rank arrives ~20 ms late and raises a flag just before entering;
+  // no rank may leave the barrier before that flag is visible.
+  for (const int n : {2, 3, 5, 8}) {
+    for (const int late : {0, n - 1}) {
+      auto w = World::create(WorldConfig{.nranks = n});
+      std::atomic<bool> arrived{false};
+      mpx_test::run_ranks(*w, [&](int rank) {
+        Comm c = w->comm_world(rank);
+        if (rank == late) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          arrived.store(true);
+        }
+        coll::barrier(c);
+        EXPECT_TRUE(arrived.load())
+            << "n=" << n << " late=" << late << " rank=" << rank;
+        w->finalize_rank(rank);
+      });
+    }
+  }
+}
+
 TEST(CollRing, RingAllreduceMatchesRecursiveDoubling) {
   WorldConfig cfg;
   cfg.nranks = 4;
@@ -182,11 +284,14 @@ TEST(CollRing, RingAllreduceMatchesRecursiveDoubling) {
     for (std::size_t i = 0; i < count; ++i) {
       in[i] = static_cast<double>(i) * (rank + 1);
     }
-    coll::allreduce(in.data(), rd.data(), count, dtype::Datatype::float64(),
-                    dtype::ReduceOp::sum, c);
-    Request r = coll::iallreduce_ring(in.data(), ring.data(), count,
-                                      dtype::Datatype::float64(),
-                                      dtype::ReduceOp::sum, c);
+    Request r = coll::ir::iallreduce(in.data(), rd.data(), count,
+                                     dtype::Datatype::float64(),
+                                     dtype::ReduceOp::sum, c,
+                                     coll::ir::Opts{coll::ir::Algo::rd});
+    wait_on_stream(r, c.stream());
+    r = coll::ir::iallreduce(in.data(), ring.data(), count,
+                             dtype::Datatype::float64(), dtype::ReduceOp::sum,
+                             c, coll::ir::Opts{coll::ir::Algo::ring});
     wait_on_stream(r, c.stream());
     for (std::size_t i = 0; i < count; ++i) {
       ASSERT_DOUBLE_EQ(ring[i], rd[i]);

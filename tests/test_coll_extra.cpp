@@ -1,11 +1,13 @@
 // Extended collective coverage: exscan, v-variants, stream-comm
-// collectives, and concurrent collectives across communicators.
+// collectives, concurrent collectives across communicators, zero counts,
+// and non-contiguous datatypes.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <vector>
 
 #include "mpx/coll/coll.hpp"
+#include "mpx/coll/topo.hpp"
 #include "test_util.hpp"
 
 using namespace mpx;
@@ -144,12 +146,38 @@ TEST(CollEdge, SingleRankCollectivesAreLocal) {
 }
 
 TEST(CollEdge, ZeroCountCollectives) {
+  // Every kind accepts a zero count with null buffers and still
+  // synchronizes like a collective call.
   auto w = World::create(WorldConfig{.nranks = 3});
   mpx_test::run_ranks(*w, [&](int rank) {
     Comm c = w->comm_world(rank);
-    coll::allreduce(nullptr, nullptr, 0, dtype::Datatype::int32(),
-                    dtype::ReduceOp::sum, c);
-    coll::bcast(nullptr, 0, dtype::Datatype::int32(), 1, c);
+    const auto dt = dtype::Datatype::int32();
+    const auto sum = dtype::ReduceOp::sum;
+    coll::allreduce(nullptr, nullptr, 0, dt, sum, c);
+    coll::bcast(nullptr, 0, dt, 1, c);
+    coll::reduce(nullptr, nullptr, 0, dt, sum, 2, c);
+    coll::allgather(nullptr, 0, dt, nullptr, c);
+    coll::gather(nullptr, 0, dt, nullptr, 1, c);
+    coll::scatter(nullptr, 0, dt, nullptr, 1, c);
+    coll::alltoall(nullptr, 0, dt, nullptr, c);
+    coll::reduce_scatter_block(nullptr, nullptr, 0, dt, sum, c);
+    coll::scan(nullptr, nullptr, 0, dt, sum, c);
+    coll::exscan(nullptr, nullptr, 0, dt, sum, c);
+    const std::vector<std::size_t> zeros(3, 0);
+    coll::gatherv(nullptr, 0, dt, nullptr, zeros, zeros, 0, c);
+    coll::scatterv(nullptr, zeros, zeros, dt, nullptr, 0, 0, c);
+    coll::allgatherv(nullptr, 0, dt, nullptr, zeros, zeros, c);
+    const int dims[] = {3};
+    const int periodic[] = {1};
+    const coll::Cart cart = coll::Cart::create(c, dims, periodic);
+    coll::neighbor_allgather(nullptr, 0, dt, nullptr, cart);
+    coll::neighbor_alltoall(nullptr, 0, dt, nullptr, cart);
+    Request pb = coll::bcast_init(nullptr, 0, dt, 0, c);
+    Request pa = coll::allreduce_init(nullptr, nullptr, 0, dt, sum, c);
+    start(pb);
+    pb.wait();
+    start(pa);
+    pa.wait();
     w->finalize_rank(rank);
   });
 }
@@ -189,6 +217,176 @@ TEST(CollPersistent, BcastCycles) {
       EXPECT_EQ(buf, cycle * 7);
       coll::barrier(c);  // keep cycles in lock-step across members
     }
+    w->finalize_rank(rank);
+  });
+}
+
+// ---- non-contiguous datatypes ----------------------------------------------
+//
+// vector(4, 1, 2, int32): four ints at stride two, so one element spans
+// seven ints (extent 28 B, size 16 B) and leaves three gap ints. Elements of
+// a buffer sit one extent apart; every data int must arrive at its
+// extent-based offset and every gap int must stay untouched.
+
+namespace {
+
+constexpr std::size_t kExt = 7;  // ints per element (the extent)
+constexpr std::int32_t kGap = -7777;
+
+dtype::Datatype vec_t() {
+  return dtype::Datatype::vector(4, 1, 2, dtype::Datatype::int32());
+}
+
+/// Buffer of `n` elements whose k-th data int of element e is f(e, k).
+template <typename F>
+std::vector<std::int32_t> vec_buf(std::size_t n, F f) {
+  std::vector<std::int32_t> b(n * kExt, kGap);
+  for (std::size_t e = 0; e < n; ++e) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      b[e * kExt + 2 * k] = f(e, k);
+    }
+  }
+  return b;
+}
+
+std::vector<std::int32_t> vec_empty(std::size_t n) {
+  return vec_buf(n, [](std::size_t, std::size_t) { return -1; });
+}
+
+/// Element e of `b` holds f(e, k) in its data ints and kGap in its gaps.
+template <typename F>
+void expect_vec(const std::vector<std::int32_t>& b, F f, const char* what) {
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    const std::size_t e = i / kExt, off = i % kExt;
+    const std::int32_t want = off % 2 == 0 ? f(e, off / 2) : kGap;
+    ASSERT_EQ(b[i], want) << what << ": element " << e << " int " << off;
+  }
+}
+
+std::int32_t tagged(std::size_t a, std::size_t b, std::size_t k) {
+  return static_cast<std::int32_t>(a * 100 + b * 10 + k);
+}
+
+}  // namespace
+
+TEST(CollNonContig, AllgatherAlltoall) {
+  auto w = World::create(WorldConfig{.nranks = 3});
+  mpx_test::run_ranks(*w, [&](int rank) {
+    Comm c = w->comm_world(rank);
+    const auto me = static_cast<std::size_t>(rank);
+    const auto mine = vec_buf(1, [&](std::size_t, std::size_t k) {
+      return tagged(me, 0, k);
+    });
+    auto all = vec_empty(3);
+    coll::allgather(mine.data(), 1, vec_t(), all.data(), c);
+    expect_vec(all, [](std::size_t e, std::size_t k) {
+      return tagged(e, 0, k);
+    }, "allgather");
+
+    // Block d of the send buffer goes to rank d.
+    const auto out = vec_buf(3, [&](std::size_t d, std::size_t k) {
+      return tagged(me, d, k);
+    });
+    auto in = vec_empty(3);
+    coll::alltoall(out.data(), 1, vec_t(), in.data(), c);
+    expect_vec(in, [&](std::size_t s, std::size_t k) {
+      return tagged(s, me, k);
+    }, "alltoall");
+    w->finalize_rank(rank);
+  });
+}
+
+TEST(CollNonContig, GatherScatter) {
+  auto w = World::create(WorldConfig{.nranks = 3});
+  mpx_test::run_ranks(*w, [&](int rank) {
+    Comm c = w->comm_world(rank);
+    const auto me = static_cast<std::size_t>(rank);
+    const auto f = [](std::size_t e, std::size_t k) {
+      return tagged(e, 5, k);
+    };
+    const auto mine = vec_buf(1, [&](std::size_t, std::size_t k) {
+      return f(me, k);
+    });
+    auto gathered = vec_empty(3);
+    coll::gather(mine.data(), 1, vec_t(), gathered.data(), 1, c);
+    if (rank == 1) expect_vec(gathered, f, "gather");
+    // Scatter the root's gathered blocks back out.
+    auto back = vec_empty(1);
+    coll::scatter(gathered.data(), 1, vec_t(), back.data(), 1, c);
+    expect_vec(back, [&](std::size_t, std::size_t k) { return f(me, k); },
+               "scatter");
+    w->finalize_rank(rank);
+  });
+}
+
+TEST(CollNonContig, VariableCountVariants) {
+  // Rank r contributes r+1 elements; blocks are packed back to back.
+  auto w = World::create(WorldConfig{.nranks = 3});
+  mpx_test::run_ranks(*w, [&](int rank) {
+    Comm c = w->comm_world(rank);
+    const auto me = static_cast<std::size_t>(rank);
+    const std::vector<std::size_t> counts{1, 2, 3}, displs{0, 1, 3};
+    const auto owner = [](std::size_t e) -> std::size_t {
+      return e == 0 ? 0 : e < 3 ? 1 : 2;
+    };
+    const auto f = [&](std::size_t e, std::size_t k) {
+      return tagged(owner(e), e, k);
+    };
+    const auto mine = vec_buf(counts[me], [&](std::size_t e, std::size_t k) {
+      return f(displs[me] + e, k);
+    });
+    auto gathered = vec_empty(6);
+    coll::gatherv(mine.data(), counts[me], vec_t(), gathered.data(), counts,
+                  displs, 2, c);
+    if (rank == 2) expect_vec(gathered, f, "gatherv");
+
+    auto back = vec_empty(counts[me]);
+    coll::scatterv(gathered.data(), counts, displs, vec_t(), back.data(),
+                   counts[me], 2, c);
+    expect_vec(back, [&](std::size_t e, std::size_t k) {
+      return f(displs[me] + e, k);
+    }, "scatterv");
+
+    auto all = vec_empty(6);
+    coll::allgatherv(mine.data(), counts[me], vec_t(), all.data(), counts,
+                     displs, c);
+    expect_vec(all, f, "allgatherv");
+    w->finalize_rank(rank);
+  });
+}
+
+TEST(CollNonContig, NeighborAllgather) {
+  auto w = World::create(WorldConfig{.nranks = 3});
+  mpx_test::run_ranks(*w, [&](int rank) {
+    Comm c = w->comm_world(rank);
+    const int dims[] = {3};
+    const int periodic[] = {1};
+    const coll::Cart cart = coll::Cart::create(c, dims, periodic);
+    const auto mine = vec_buf(1, [&](std::size_t, std::size_t k) {
+      return tagged(static_cast<std::size_t>(rank), 0, k);
+    });
+    auto nbr = vec_empty(2);
+    coll::neighbor_allgather(mine.data(), 1, vec_t(), nbr.data(), cart);
+    const std::vector<int> nbrs = cart.neighbors();
+    expect_vec(nbr, [&](std::size_t j, std::size_t k) {
+      return tagged(static_cast<std::size_t>(nbrs[j]), 0, k);
+    }, "neighbor_allgather");
+    w->finalize_rank(rank);
+  });
+}
+
+TEST(CollNonContig, LargeBcast) {
+  // 256 KiB of packed payload on 3 ranks: the bandwidth-bound bcast shape.
+  constexpr std::size_t kElems = 256 * 1024 / 16;
+  auto w = World::create(WorldConfig{.nranks = 3});
+  mpx_test::run_ranks(*w, [&](int rank) {
+    Comm c = w->comm_world(rank);
+    const auto f = [](std::size_t e, std::size_t k) {
+      return static_cast<std::int32_t>(e * 4 + k);
+    };
+    auto buf = rank == 0 ? vec_buf(kElems, f) : vec_empty(kElems);
+    coll::bcast(buf.data(), kElems, vec_t(), 0, c);
+    expect_vec(buf, f, "bcast");
     w->finalize_rank(rank);
   });
 }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "mpx/coll/coll.hpp"
+#include "mpx/coll/ir.hpp"
 #include "test_util.hpp"
 
 using namespace mpx;
@@ -99,25 +100,28 @@ TEST(Mprobe, AnySourceClaim) {
 }
 
 TEST(CollChain, ChainBcastMatchesBinomial) {
+  // The bandwidth-optimized bcast (knomial scatter + ring allgather) and
+  // the tree bcast agree from every root on a large payload.
   auto w = World::create(WorldConfig{.nranks = 5});
   mpx_test::run_ranks(*w, [&](int rank) {
     Comm c = w->comm_world(rank);
     for (int root = 0; root < c.size(); ++root) {
-      const std::size_t n = 40000;  // 160 KB: chain territory
-      std::vector<std::int32_t> chain_buf(n), binom_buf(n);
+      const std::size_t n = 40000;  // 160 KB
+      std::vector<std::int32_t> sag_buf(n), tree_buf(n);
       if (rank == root) {
-        std::iota(chain_buf.begin(), chain_buf.end(), root);
-        binom_buf = chain_buf;
+        std::iota(sag_buf.begin(), sag_buf.end(), root);
+        tree_buf = sag_buf;
       }
-      Request rc = coll::ibcast_chain(chain_buf.data(), n,
-                                      dtype::Datatype::int32(), root, c);
-      wait_on_stream(rc, c.stream());
-      Request rb = coll::ibcast_binomial(binom_buf.data(), n,
-                                         dtype::Datatype::int32(), root, c);
-      wait_on_stream(rb, c.stream());
+      Request r = coll::ir::ibcast(sag_buf.data(), n,
+                                   dtype::Datatype::int32(), root, c,
+                                   coll::ir::Opts{coll::ir::Algo::scatter_ag});
+      wait_on_stream(r, c.stream());
+      r = coll::ir::ibcast(tree_buf.data(), n, dtype::Datatype::int32(), root,
+                           c, coll::ir::Opts{coll::ir::Algo::knomial});
+      wait_on_stream(r, c.stream());
       for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(chain_buf[i], static_cast<std::int32_t>(i) + root);
-        ASSERT_EQ(binom_buf[i], chain_buf[i]);
+        ASSERT_EQ(sag_buf[i], static_cast<std::int32_t>(i) + root);
+        ASSERT_EQ(tree_buf[i], sag_buf[i]);
       }
     }
     w->finalize_rank(rank);
@@ -125,15 +129,15 @@ TEST(CollChain, ChainBcastMatchesBinomial) {
 }
 
 TEST(CollChain, AutoSelectionHonorsThreshold) {
-  // Small message on 4 ranks goes binomial; both paths produce the same
-  // result either way — this exercises the dispatch line.
+  // Small and large bcasts on 4 ranks select different algorithms from the
+  // cost model; both produce the same result — this exercises selection.
   auto w = World::create(WorldConfig{.nranks = 4});
   mpx_test::run_ranks(*w, [&](int rank) {
     Comm c = w->comm_world(rank);
     std::int64_t v = rank == 1 ? 777 : 0;
     coll::bcast(&v, 1, dtype::Datatype::int64(), 1, c);
     EXPECT_EQ(v, 777);
-    // Large message through the public entry (auto chain).
+    // Large message through the public entry (auto selection).
     std::vector<std::int64_t> big(64 * 1024, rank == 0 ? 3 : 0);
     coll::bcast(big.data(), big.size(), dtype::Datatype::int64(), 0, c);
     for (auto x : big) ASSERT_EQ(x, 3);

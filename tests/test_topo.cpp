@@ -131,6 +131,21 @@ TEST(Topo, DegenerateSizeTwoPeriodicRing) {
     const int peer = 1 - rank;
     EXPECT_EQ(recv[0], peer * 10 + 2);  // peer's positive-direction payload
     EXPECT_EQ(recv[1], peer * 10 + 1);  // peer's negative-direction payload
+
+    // A periodic dimension of size 1 makes each rank its own neighbor in
+    // both directions: those edges are local copies.
+    const int dims2[] = {2, 1};
+    const int periodic2[] = {1, 1};
+    Cart cart2 = Cart::create(c, dims2, periodic2);
+    EXPECT_EQ(cart2.neighbors(),
+              (std::vector<int>{peer, peer, rank, rank}));
+    std::int32_t send2[4], recv2[4] = {-1, -1, -1, -1};
+    for (int j = 0; j < 4; ++j) send2[j] = rank * 10 + j + 1;
+    coll::neighbor_alltoall(send2, 1, dtype::Datatype::int32(), recv2, cart2);
+    EXPECT_EQ(recv2[0], peer * 10 + 2);
+    EXPECT_EQ(recv2[1], peer * 10 + 1);
+    EXPECT_EQ(recv2[2], rank * 10 + 4);  // own positive-direction payload
+    EXPECT_EQ(recv2[3], rank * 10 + 3);  // own negative-direction payload
     w->finalize_rank(rank);
   });
 }

@@ -5,7 +5,7 @@ Five checks, each a plugin over an engine-built CodeModel:
   lock-rank          held-while-acquiring graph must respect LockRank order
   mc-coverage        modeled protocol files use mc:: shims + PLAIN annotations
   memory-order       release/acquire pairing per atomic member, implicit
-                     seq_cst detection (successor of scripts/check_atomics.py)
+                     seq_cst detection
   progress-contract  ProgressSource::poll/idle must not block or re-enter
                      progress-engine locks
   tsa-ratchet        mutex-guarded fields must carry MPX_GUARDED_BY

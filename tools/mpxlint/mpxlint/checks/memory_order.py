@@ -13,8 +13,7 @@ Three rules:
                 stores: the relaxed path silently breaks the publish
                 protocol on that member.
 
-  implicit    — the scripts/check_atomics.py rule, verbatim semantics:
-                any atomic op without an explicit order argument is an
+  implicit    — any atomic op without an explicit order argument is an
                 implicit seq_cst; flagged unless annotated
                 `// mo: seq_cst intentional` on the same or prior line.
 """

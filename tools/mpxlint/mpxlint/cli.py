@@ -5,8 +5,7 @@
   python3 tools/mpxlint --check lock-rank src  # single check
   python3 tools/mpxlint --update-baseline ...  # accept current findings
 
-Exit codes: 0 clean, 1 findings, 2 usage/internal error — the same
-contract scripts/check_atomics.py had.
+Exit codes: 0 clean, 1 findings, 2 usage/internal error.
 """
 
 from __future__ import annotations

@@ -164,8 +164,8 @@ ACCESSOR_RETURN_TYPES = {
     "endpoint": "Endpoint",
 }
 
-# check_atomics.py compatibility: ops that take a trailing memory-order
-# argument, and the annotation that opts a deliberate seq_cst site out.
+# Ops that take a trailing memory-order argument, and the annotation that
+# opts a deliberate seq_cst site out.
 ATOMIC_ORDER_METHODS = (
     "load", "store", "exchange",
     "fetch_add", "fetch_sub", "fetch_and", "fetch_or", "fetch_xor",
