@@ -18,7 +18,11 @@ void BM_MultiStreamThreads(benchmark::State& state) {
   cfg.nranks = 1;
   cfg.max_vcis = 16;
   auto world = mpx::World::create(cfg);
-  mpx::base::LatencyRecorder rec;
+  // One recorder per thread, merged after the run: a shared recorder's
+  // mutex would serialize exactly the threads whose contention this
+  // figure measures.
+  std::vector<mpx::base::LatencyRecorder> recs(
+      static_cast<std::size_t>(n_threads));
 
   std::vector<mpx::Stream> streams;
   streams.reserve(static_cast<std::size_t>(n_threads));
@@ -38,7 +42,8 @@ void BM_MultiStreamThreads(benchmark::State& state) {
         std::mt19937 rng = mpx_bench::thread_rng(/*experiment=*/11, t,
                                                  iteration);
         mpx_bench::run_dummy_batch(*world, streams[static_cast<std::size_t>(t)],
-                                   kTasksPerThread, 2e-3, rec, rng);
+                                   kTasksPerThread, 2e-3,
+                                   recs[static_cast<std::size_t>(t)], rng);
       });
     }
     for (auto& th : threads) th.join();
@@ -52,6 +57,8 @@ void BM_MultiStreamThreads(benchmark::State& state) {
     acquires += ls.acquires;
   }
   for (auto& s : streams) world->stream_free(s);
+  mpx::base::LatencyRecorder rec;
+  for (const auto& r : recs) rec.merge(r);
   mpx_bench::report_latency(state, rec);
   state.counters["lock_acquires"] = static_cast<double>(acquires);
   state.counters["lock_contended"] = static_cast<double>(contended);

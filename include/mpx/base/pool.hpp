@@ -6,19 +6,34 @@
 // them through freelists removes the global allocator from the per-message
 // cost (MPICH ships the same design: CH4 request pools and cell pools).
 //
-// Three shapes:
+// Four shapes:
 //   - ObjectPool<T>      : unique_ptr-based recycler (legacy; transports).
 //   - FreelistPool<T>    : typed freelist of raw storage, NOT thread-safe;
 //                          per-VCI pools guarded by the VCI lock.
-//   - FixedBlockPool     : spinlock-guarded raw-block freelist for
+//   - FixedBlockPool     : per-thread-sharded raw-block freelist for
 //                          class-level operator new/delete overloads whose
 //                          release site crosses threads (refcounted
 //                          requests, async hooks).
-//   - PayloadPool        : spinlock-guarded power-of-two size-class pool
+//   - PayloadPool        : per-thread-sharded power-of-two size-class pool
 //                          behind pooled_buffer()/pooled_copy(); eager
 //                          payloads are allocated under the sender's VCI
 //                          and freed under the receiver's, so the pool is
 //                          process-wide and thread-safe.
+//
+// SHARDS. The two process-wide pools keep kPoolShards freelist shards, each
+// on its own cache lines behind its own spinlock. A thread claims an unused
+// shard on its first pool call and returns it when it exits, so threads
+// driving different VCIs share no pool line; shards are shared only while
+// more than kPoolShards threads are live. Acquire and release use the
+// calling thread's shard. A block freed on another thread parks there, so
+// a one-way stream (payloads allocated by the sender, freed by the
+// receiver) keeps recycling through a refill: on a home miss the acquirer
+// takes a whole parked list from another shard, holding one shard lock at
+// a time. Each capacity cvar is a cap PER SHARD (per shard and size class
+// for payloads): at most kPoolShards * cap blocks stay parked. Stats are
+// exact sums over the shards at quiescence; a shard's own `live` may go
+// negative (frees land on the releasing thread's shard), only the sum is
+// meaningful.
 //
 // SANITIZERS. Freelist reuse would blind AddressSanitizer to lifetime bugs
 // (a use-after-release lands in recycled, still-mapped storage), so under
@@ -28,6 +43,7 @@
 // access is lock-guarded, and racy reuse is exactly what it should see.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -172,10 +188,76 @@ class FreelistPool {
   PoolStats st_;
 };
 
-/// Spinlock-guarded freelist of fixed-size raw blocks, for class-level
+/// Freelist shards per process-wide pool. A constant on purpose: the
+/// rank threads, stream threads and engine workers of one process stay
+/// well below it, and each shard costs a few cache lines per pool.
+inline constexpr std::size_t kPoolShards = 16;
+
+namespace pool_detail {
+
+/// The calling thread's shard in [0, kPoolShards): claimed on the thread's
+/// first call (the least-used shard, so an unused one while any is free)
+/// and released when the thread exits. Under the model checker every
+/// modeled thread maps to one shard (see ShardedFreelists).
+std::size_t this_thread_shard();
+
+/// The storage behind FixedBlockPool (N = 1) and PayloadPool (N = size
+/// classes): kPoolShards shards of N raw-block freelists, each list capped
+/// at `cap` parked blocks. acquire() returns nullptr on a miss (the caller
+/// allocates); release() returns false when the block must go back to the
+/// allocator (cap reached, or passthrough). Both count toward the stats.
+template <std::size_t N>
+class ShardedFreelists {
+ public:
+  explicit ShardedFreelists(std::size_t cap) : cap_(cap) {}
+  ShardedFreelists(const ShardedFreelists&) = delete;
+  ShardedFreelists& operator=(const ShardedFreelists&) = delete;
+  ~ShardedFreelists();
+
+  void* acquire(std::size_t cls);
+  bool release(std::size_t cls, void* p) noexcept;
+  /// Account an acquire that bypasses the freelists (oversized request).
+  void count_bypass();
+  PoolStats stats() const;
+
+ private:
+  struct Node {
+    Node* next;
+  };
+  /// A freelist with its tail, so a refill moves a whole list in O(1):
+  /// the blocks are out of every shard's view only between two locks.
+  struct List {
+    Node* head = nullptr;
+    Node* tail = nullptr;
+  };
+  struct alignas(64) Shard {
+    mutable Spinlock mu;
+    List free[N] MPX_GUARDED_BY(mu);
+    /// Parked blocks per list. Written only under mu; read without it as
+    /// the refill scan's "anything here?" hint (a stale read costs one
+    /// lock or one missed refill, never correctness).
+    std::atomic<std::size_t> parked[N] = {};
+    std::uint64_t hits MPX_GUARDED_BY(mu) = 0;
+    std::uint64_t misses MPX_GUARDED_BY(mu) = 0;
+    std::uint64_t overflow MPX_GUARDED_BY(mu) = 0;
+    std::int64_t live MPX_GUARDED_BY(mu) = 0;
+  };
+
+  /// Home miss: take the whole list `cls` parked on another shard, keep
+  /// one block for the caller and park the rest at home.
+  void* refill(std::size_t home, std::size_t cls);
+
+  const std::size_t cap_;
+  Shard shards_[kPoolShards];
+};
+
+}  // namespace pool_detail
+
+/// Per-thread-sharded freelist of fixed-size raw blocks, for class-level
 /// operator new/delete overloads (allocation and release may happen on
 /// different threads). Intended for static-storage pools; registers itself
-/// in the process-wide pool registry under `name`.
+/// in the process-wide pool registry under `name`. `max_free` caps each
+/// shard's parked blocks.
 class FixedBlockPool {
  public:
   FixedBlockPool(const char* name, std::size_t block_size,
@@ -188,24 +270,18 @@ class FixedBlockPool {
   void deallocate(void* p) noexcept;
 
   const char* name() const { return name_; }
-  PoolStats stats() const;
+  PoolStats stats() const { return lists_.stats(); }
 
  private:
-  struct Node {
-    Node* next;
-  };
-
   const char* name_;
   const std::size_t block_size_;
-  const std::size_t max_free_;
-  mutable Spinlock mu_;
-  Node* free_ MPX_GUARDED_BY(mu_) = nullptr;
-  PoolStats st_ MPX_GUARDED_BY(mu_);
+  pool_detail::ShardedFreelists<1> lists_;
 };
 
 /// Power-of-two size-class pool behind pooled payload buffers. Blocks up
 /// to max_block() bytes are recycled per class; larger requests fall
-/// through to the allocator. Thread-safe (one spinlock per class).
+/// through to the allocator. Thread-safe (per-thread shards, each with one
+/// freelist per class capped at MPX_POOL_PAYLOAD_CAP).
 class PayloadPool {
  public:
   static PayloadPool& instance();
@@ -216,7 +292,7 @@ class PayloadPool {
   void release(std::byte* p, std::size_t n) noexcept;
 
   std::size_t max_block() const { return max_block_; }
-  PoolStats stats() const;
+  PoolStats stats() const { return lists_.stats(); }
 
  private:
   PayloadPool();
@@ -225,21 +301,11 @@ class PayloadPool {
   static constexpr std::size_t kMinBlock = 64;
   static constexpr std::size_t kClasses = 11;  // 64 B .. 64 KiB
 
-  struct Node {
-    Node* next;
-  };
-  struct SizeClass {
-    mutable Spinlock mu;
-    Node* free MPX_GUARDED_BY(mu) = nullptr;
-    PoolStats st MPX_GUARDED_BY(mu);
-  };
-
   static std::size_t class_of(std::size_t n);
   static std::size_t class_bytes(std::size_t cls) { return kMinBlock << cls; }
 
   std::size_t max_block_;
-  std::size_t max_free_per_class_;
-  SizeClass classes_[kClasses];
+  pool_detail::ShardedFreelists<kClasses> lists_;
 };
 
 /// A Buffer of `n` bytes whose storage is recycled through the payload

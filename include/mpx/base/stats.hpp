@@ -41,6 +41,10 @@ class LatencyRecorder {
   std::size_t count() const;
   void clear();
 
+  /// Append every sample of `other` (threads that record into their own
+  /// recorder are merged after join, so recording never serializes them).
+  void merge(const LatencyRecorder& other);
+
   /// Compute the summary (sorts a copy of the samples).
   LatencySummary summarize() const;
 

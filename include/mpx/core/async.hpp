@@ -101,7 +101,7 @@ class AsyncThing {
 
 namespace core_detail {
 /// Process-wide storage pool behind AsyncThing::operator new/delete
-/// (capacity: MPX_POOL_ASYNC_CAP parked blocks).
+/// (capacity: MPX_POOL_ASYNC_CAP parked blocks per shard).
 inline base::FixedBlockPool& async_thing_pool() {
   static base::FixedBlockPool pool(
       "async-thing", sizeof(AsyncThing),

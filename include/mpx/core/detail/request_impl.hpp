@@ -85,24 +85,17 @@ struct GrequestFns {
 };
 
 struct RequestImpl : base::RefCounted {
-  explicit RequestImpl(ReqKind k) : kind(k) { live_count().fetch_add(1, std::memory_order_relaxed); }
-  ~RequestImpl() { live_count().fetch_sub(1, std::memory_order_relaxed); }
+  explicit RequestImpl(ReqKind k) : kind(k) {}
 
   /// Requests are the hot currency of the datapath: storage is recycled
-  /// through a process-wide freelist (declared below). The pool is global,
-  /// not per-VCI, because the last reference to a refcounted request can
-  /// drop on any thread (a user thread destroying a Request handle), not
-  /// just under the owning VCI's lock.
+  /// through a process-wide, per-thread-sharded freelist (declared below).
+  /// The pool is not per-VCI because the last reference to a refcounted
+  /// request can drop on any thread (a user thread destroying a Request
+  /// handle), not just under the owning VCI's lock. Its summed `live`
+  /// count is the tripwire for protocol reference-count leaks: tests
+  /// assert request_pool().stats().live returns to its baseline.
   static void* operator new(std::size_t n);
   static void operator delete(void* p) noexcept;
-
-  /// Number of RequestImpl objects currently alive in the process. Tests
-  /// assert this returns to its baseline after workloads — the tripwire for
-  /// protocol reference-count leaks.
-  static std::atomic<long>& live_count() {
-    static std::atomic<long> count{0};
-    return count;
-  }
 
   ReqKind kind;
   World* world = nullptr;
@@ -130,7 +123,10 @@ struct RequestImpl : base::RefCounted {
   dtype::Datatype dt;
   base::Buffer staging;  ///< packed send staging / pipeline assembly
 
-  /// Owning reference to the communicator (rank translation for Status).
+  /// Owning reference to the communicator, held by receives (rank
+  /// translation for Status) and persistent operations (re-arming). Sends
+  /// leave it empty: copying the shared refcount would write one line per
+  /// message that every thread sending on the communicator shares.
   /// shared_ptr's type-erased deleter permits the incomplete type here.
   std::shared_ptr<CommImpl> comm;
 
@@ -181,7 +177,7 @@ struct RequestImpl : base::RefCounted {
 };
 
 /// Process-wide storage pool behind RequestImpl::operator new/delete.
-/// Capacity (parked blocks) is MPX_POOL_REQUEST_CAP; under ASan or
+/// Capacity (parked blocks per shard) is MPX_POOL_REQUEST_CAP; under ASan or
 /// MPX_POOL_DISABLE=1 every block passes through the global allocator.
 inline base::FixedBlockPool& request_pool() {
   static base::FixedBlockPool pool(

@@ -31,7 +31,7 @@
 // ROUTE FENCING: each route-table entry is a pointer tagged in bit 0.
 // A fenced entry marks a (src, dst) pair mid-swap: the datapath parks new
 // sends for the pair (Vci::fence_parked) instead of injecting them, which
-// lets the control plane drain the pair's in-flight counters to zero and
+// lets the control plane drain the pair's in-flight count to zero and
 // cut over to the new carrier with per-pair FIFO intact. The fenced
 // entry's pointer is already the PENDING NEW transport, so protocol
 // selection (caps/limits) during the fence matches the carrier the parked
@@ -39,6 +39,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -50,9 +51,80 @@ class Transport;
 
 namespace mpx::core_detail {
 
+/// In-flight message counts per (src, dst) pair, split by writer so that
+/// no counter line is shared between ranks: rank src's senders bump
+/// `sent[src][dst]` at injection, rank dst's receivers bump
+/// `recvd[dst][src]` at sink delivery, and in flight = sent - recvd. Each
+/// rank's row starts on its own cache line. Storage is datapath-OWNED and
+/// outlives every snapshot that points at it.
+///
+/// Relaxed increments on purpose: the counters are read by the draining
+/// control thread, which is ordered against every send-side increment
+/// through the fence grace period's v.mu handoff and against every
+/// receive-side increment by driving the receiving VCI's progress itself
+/// (same thread). The RMW keeps a row exact across the VCIs of one rank,
+/// which may send or receive concurrently.
+class PairCounters {
+  static constexpr std::size_t kPerLine = 8;
+  struct alignas(64) Line {
+    mc::atomic<std::int64_t> c[kPerLine];
+  };
+
+ public:
+  PairCounters() = default;
+  // Snapshots point at this storage.
+  PairCounters(const PairCounters&) = delete;
+  PairCounters& operator=(const PairCounters&) = delete;
+
+  void resize(int nranks) {
+    const auto n = static_cast<std::size_t>(nranks);
+    row_lines_ = (n + kPerLine - 1) / kPerLine;
+    sent_ = std::vector<Line>(n * row_lines_);
+    recvd_ = std::vector<Line>(n * row_lines_);
+  }
+
+  void count_sent(int src, int dst) {
+    sent(src, dst).fetch_add(1, std::memory_order_relaxed);
+  }
+  void count_recvd(int src, int dst) {
+    recvd(src, dst).fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// Messages injected src -> dst and not yet delivered. Reads `recvd`
+  /// first: `sent` only grows, so a read racing live sends overstates the
+  /// count rather than understating it. The drain relies only on the
+  /// fenced case: sends have stopped, `sent` is final, and zero means
+  /// every injected message was delivered.
+  std::int64_t inflight(int src, int dst) const {
+    const std::int64_t r = recvd(src, dst).load(std::memory_order_acquire);
+    const std::int64_t s = sent(src, dst).load(std::memory_order_acquire);
+    return s - r;
+  }
+
+ private:
+  /// Row `src` of the sent counters, row `dst` of the received ones.
+  mc::atomic<std::int64_t>& sent(int src, int dst) const {
+    return cell(sent_, src, dst);
+  }
+  mc::atomic<std::int64_t>& recvd(int src, int dst) const {
+    return cell(recvd_, dst, src);
+  }
+  mc::atomic<std::int64_t>& cell(std::vector<Line>& rows, int row,
+                                 int col) const {
+    const auto c = static_cast<std::size_t>(col);
+    return rows[static_cast<std::size_t>(row) * row_lines_ + c / kPerLine]
+        .c[c % kPerLine];
+  }
+
+  std::size_t row_lines_ = 0;
+  // Counters, not structure: mutable so const readers can load them.
+  mutable std::vector<Line> sent_;
+  mutable std::vector<Line> recvd_;
+};
+
 /// Immutable routing view published by the control plane. Everything here
 /// is written before publication and never mutated afterwards — except the
-/// pair_inflight counters, which are datapath-OWNED storage shared by every
+/// in-flight counters, which are datapath-OWNED storage shared by every
 /// snapshot (the pointer is immutable; the counters it names outlive any
 /// one publication).
 struct TopologySnapshot {
@@ -69,11 +141,10 @@ struct TopologySnapshot {
   /// First-match routing, compiled by the control plane:
   /// route[src * nranks + dst], tagged per kFenceBit.
   std::vector<std::uintptr_t> route;
-  /// Datapath-owned in-flight message counters, one per (src, dst) pair
-  /// (same indexing as `route`). Incremented at injection, decremented at
-  /// sink delivery; the control plane drains a fenced pair to zero before
-  /// cutting over.
-  mc::atomic<std::int64_t>* pair_inflight = nullptr;
+  /// Datapath-owned in-flight counters (see PairCounters). Counted at
+  /// injection and at sink delivery; the control plane drains a fenced
+  /// pair to zero before cutting over.
+  PairCounters* pairs = nullptr;
 
   std::size_t pair_index(int src, int dst) const {
     return static_cast<std::size_t>(src) * static_cast<std::size_t>(nranks) +
@@ -96,17 +167,8 @@ struct TopologySnapshot {
     return a / ranks_per_node == b / ranks_per_node;
   }
 
-  void inflight_add(int src, int dst, std::int64_t d) const {
-    // Relaxed on purpose: the counters are read by the draining control
-    // thread, which is ordered against every increment through the fence
-    // grace period's v.mu handoff and against every decrement by driving
-    // the receiving VCI's progress itself (same thread). The atomic is
-    // only for torn-write safety across VCIs.
-    pair_inflight[pair_index(src, dst)].fetch_add(d, std::memory_order_relaxed);
-  }
-
   std::int64_t inflight(int src, int dst) const {
-    return pair_inflight[pair_index(src, dst)].load(std::memory_order_acquire);
+    return pairs->inflight(src, dst);
   }
 };
 

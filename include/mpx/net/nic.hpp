@@ -17,6 +17,7 @@
 //    every due sender-side completion.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <utility>
@@ -91,41 +92,44 @@ class Nic final : public transport::Transport {
     double due = 0.0;
     std::uint64_t cookie = 0;
   };
-  struct Channel {
+  /// Cache-line aligned: neighbouring channels belong to other pairs.
+  struct alignas(64) Channel {
     mutable base::Spinlock mu{"net:channel", base::LockRank::transport};
     // FIFO, monotonically increasing due.
     std::deque<TimedMsg> in_flight MPX_GUARDED_BY(mu);
     double clear_time MPX_GUARDED_BY(mu) = 0.0;  // previous message clears
   };
-  struct SendCq {
+  /// Per-(rank, vci) state: the sender-side completion queue, the
+  /// in-flight count and the endpoint's share of the stats. Cache-line
+  /// aligned so threads on different endpoints never write a common line;
+  /// stats() sums them.
+  struct alignas(64) Endpoint {
     mutable base::Spinlock mu{"net:cq", base::LockRank::transport};
-    std::deque<CqEntry> q MPX_GUARDED_BY(mu);  // FIFO, increasing due
+    std::deque<CqEntry> cq MPX_GUARDED_BY(mu);  // FIFO, increasing due
+    /// Entries in flight to/from this endpoint — arrivals on its channels
+    /// plus its unfired send completions. inject() increments (before
+    /// pushing, so a zero read proves the queues were empty at that
+    /// point); poll() decrements per pop. Lets poll() bail out without the
+    /// clock read or any spinlock when the endpoint is quiet — the "netmod
+    /// empty-polls are not cheap" cost the paper calls out, made cheap.
+    std::atomic<std::uint32_t> pending{0};
+    std::atomic<std::uint64_t> injected{0};   ///< sends from this endpoint
+    std::atomic<std::uint64_t> delivered{0};  ///< arrivals polled here
+    std::atomic<std::uint64_t> cq_events{0};  ///< completions fired here
   };
 
   Channel& channel(int src, int dst, int vci);
   const Channel& channel(int src, int dst, int vci) const;
-  SendCq& send_cq(int rank, int vci);
-  const SendCq& send_cq(int rank, int vci) const;
-  std::atomic<std::uint32_t>& ep_pending(int rank, int vci);
+  Endpoint& endpoint(int rank, int vci);
+  const Endpoint& endpoint(int rank, int vci) const;
 
   int nranks_;
   int max_vcis_;
   CostModel model_;
   transport::TransportLimits limits_;
   const base::Clock& clock_;
-  std::vector<Channel> channels_;  // [src][dst][vci]
-  std::vector<SendCq> send_cqs_;   // [rank][vci]
-  /// Entries in flight to/from each (rank, vci) endpoint — arrivals on its
-  /// channels plus its unfired send completions. inject() increments
-  /// (before pushing, so a zero read proves the queues were empty at that
-  /// point); poll() decrements per pop. Lets poll() bail out without the
-  /// clock read or any spinlock when the endpoint is quiet — the "netmod
-  /// empty-polls are not cheap" cost the paper calls out, made cheap.
-  std::vector<std::atomic<std::uint32_t>> ep_pending_;  // [rank][vci]
-
-  std::atomic<std::uint64_t> injected_{0};
-  std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> cq_events_{0};
+  std::vector<Channel> channels_;    // [src][dst][vci]
+  std::vector<Endpoint> endpoints_;  // [rank][vci]
 };
 
 }  // namespace mpx::net

@@ -12,7 +12,9 @@
 //    ownership transfer, no allocation on the in-slot path. When the ring
 //    is full the send parks on a sender-side pending queue that the
 //    sender's own progress retries in bulk (exactly why send-side progress
-//    matters).
+//    matters). A parked eager send is already complete, so its sender may
+//    never poll again: the receiver's poll also flushes the cookie-free
+//    parked sends bound for it (pull_parked).
 //  - Large-message path (LMT): the core protocol sends an `rts` carrying
 //    the exporter's buffer address; the receiver copies directly and
 //    replies with an `ack`. Those control messages are header-only cells.
@@ -155,6 +157,14 @@ class ShmTransport final : public transport::Transport {
     /// Next slot to write. Written only by producers (under mu), published
     /// with release; the consumer's acquire load owns everything below it.
     alignas(64) mc::atomic<std::uint32_t> head{0};
+    /// Sends bound for this channel parked on their source endpoint's
+    /// pending queue (raised at park, lowered at flush). Shares head's line,
+    /// which the consumer reads every poll anyway: a nonzero value makes
+    /// the consumer flush those queues itself, so parked sends drain even
+    /// when their sender never polls again.
+    // A hint: the flush runs under the endpoint lock, and a stale read only
+    // delays it to a later poll. mpxlint: allow(mc-coverage)
+    std::atomic<std::uint32_t> waiting{0};
     /// Next slot to read. Written only by the (externally serialized)
     /// consumer, once per batch, with release; producers' acquire loads use
     /// it to detect free slots (slot reuse is ordered by this edge).
@@ -167,8 +177,10 @@ class ShmTransport final : public transport::Transport {
     std::byte* arena = nullptr;
   };
 
-  /// Sender-side endpoint state for (rank, vci).
-  struct Endpoint {
+  /// Endpoint state for (rank, vci): the sender-side pending queue and
+  /// the endpoint's share of the stats. Cache-line aligned so threads on
+  /// different endpoints never write a common line; stats() sums them.
+  struct alignas(64) Endpoint {
     mutable base::Spinlock mu{"shm:pending", base::LockRank::transport};
     std::deque<std::pair<transport::Msg, std::uint64_t>> q MPX_GUARDED_BY(mu);
     /// Mirrors q.size(); maintained under mu, read lock-free by poll() as
@@ -179,6 +191,16 @@ class ShmTransport final : public transport::Transport {
     /// Consumer-side re-entrancy guard (see poll()). Only ever touched by
     /// the externally-serialized consumer of this endpoint, hence plain.
     bool delivering = false;  // mpxlint: allow(tsa-ratchet) consumer-serialized
+
+    // Stats counters stay raw std::atomic on purpose: diagnostics, not
+    // protocol — modeling them would only blow up the mc schedule space.
+    // Sender side (sends from this endpoint):
+    std::atomic<std::uint64_t> sends{0};        // mpxlint: allow(mc-coverage) stats only
+    std::atomic<std::uint64_t> ring_full{0};    // mpxlint: allow(mc-coverage) stats only
+    std::atomic<std::uint64_t> inline_hits{0};  // mpxlint: allow(mc-coverage) stats only
+    // Consumer side (deliveries to this endpoint):
+    std::atomic<std::uint64_t> delivered{0};    // mpxlint: allow(mc-coverage) stats only
+    std::atomic<std::uint64_t> batched{0};      // mpxlint: allow(mc-coverage) stats only
   };
 
   Channel& channel(int src, int dst, int vci);
@@ -189,19 +211,33 @@ class ShmTransport final : public transport::Transport {
   Cell& cell_at(Channel& ch, std::uint32_t idx);
   void init_arena(Channel& ch) MPX_REQUIRES(ch.mu);
 
-  /// Producer push under ch.mu. `payload` is copied in-slot; a non-empty
-  /// `overflow` buffer is moved into the cell instead (exactly one of the
-  /// two is meaningful). Returns false (leaving `overflow` intact) when the
-  /// ring is full.
-  bool push_cell(Channel& ch, const transport::MsgHeader& h,
+  /// Producer push under ch.mu, counted on the source endpoint `src`.
+  /// `payload` is copied in-slot; a non-empty `overflow` buffer is moved
+  /// into the cell instead (exactly one of the two is meaningful). Returns
+  /// false (leaving `overflow` intact) when the ring is full.
+  bool push_cell(Channel& ch, Endpoint& src, const transport::MsgHeader& h,
                  base::ConstByteSpan payload, base::Buffer& overflow)
       MPX_REQUIRES(ch.mu);
 
   /// Place a parked/owned Msg; routes payload in-slot when it fits.
-  bool push_msg(Channel& ch, transport::Msg& m) MPX_REQUIRES(ch.mu);
+  bool push_msg(Channel& ch, Endpoint& src, transport::Msg& m)
+      MPX_REQUIRES(ch.mu);
 
   /// Park a send on its endpoint's pending queue, preserving FIFO order.
   void park(Endpoint& ep, transport::Msg&& m, std::uint64_t cookie);
+
+  /// Push parked sends of `ep` from the head of its queue while rings have
+  /// room. Completed cookies are appended to `done`; with `done` null
+  /// (a flush on behalf of a receiver, which cannot report them) the flush
+  /// stops at the first entry that carries a cookie. Returns true when
+  /// anything moved.
+  bool flush_parked(Endpoint& ep, std::vector<std::uint64_t>* done)
+      MPX_REQUIRES(ep.mu);
+
+  /// Receiver side: flush the parked, cookie-free sends of every endpoint
+  /// of rank `src` (they may be bound for any channel; FIFO is the
+  /// endpoint queue's). Returns true when anything moved.
+  bool pull_parked(int src);
 
   int nranks_;
   int max_vcis_;
@@ -213,14 +249,6 @@ class ShmTransport final : public transport::Transport {
   transport::TransportLimits limits_;
   std::vector<Channel> channels_;   // [src][dst][vci]
   std::vector<Endpoint> endpoints_;  // [rank][vci]
-
-  // Stats counters stay raw std::atomic on purpose: diagnostics, not
-  // protocol — modeling them would only blow up the mc schedule space.
-  std::atomic<std::uint64_t> sends_{0};        // mpxlint: allow(mc-coverage) stats only
-  std::atomic<std::uint64_t> ring_full_{0};    // mpxlint: allow(mc-coverage) stats only
-  std::atomic<std::uint64_t> delivered_{0};    // mpxlint: allow(mc-coverage) stats only
-  std::atomic<std::uint64_t> batched_{0};      // mpxlint: allow(mc-coverage) stats only
-  std::atomic<std::uint64_t> inline_hits_{0};  // mpxlint: allow(mc-coverage) stats only
 };
 
 }  // namespace mpx::shm

@@ -20,6 +20,17 @@ void LatencyRecorder::clear() {
   samples_.clear();
 }
 
+void LatencyRecorder::merge(const LatencyRecorder& other) {
+  if (&other == this) return;
+  std::vector<double> theirs;
+  {
+    std::lock_guard<std::mutex> g(other.mu_);
+    theirs = other.samples_;
+  }
+  std::lock_guard<std::mutex> g(mu_);
+  samples_.insert(samples_.end(), theirs.begin(), theirs.end());
+}
+
 LatencySummary LatencyRecorder::summarize() const {
   std::vector<double> s;
   {

@@ -108,10 +108,8 @@ World::World(WorldConfig cfg) : s_(std::make_unique<State>()) {
     snap->transports.reserve(ctl.transports.size());
     for (const auto& t : ctl.transports) snap->transports.push_back(t.get());
     snap->route = compile_route(snap->transports, cfg.nranks);
-    dp.pair_inflight = std::vector<mc::atomic<std::int64_t>>(
-        static_cast<std::size_t>(cfg.nranks) *
-        static_cast<std::size_t>(cfg.nranks));
-    snap->pair_inflight = dp.pair_inflight.data();
+    dp.pairs.resize(cfg.nranks);
+    snap->pairs = &dp.pairs;
     {
       base::LockGuard<base::InstrumentedMutex> g(ctl.mu);
       snap->epoch = ctl.next_epoch++;
@@ -347,24 +345,20 @@ void World::swap_topology_for_test(int a, int b, transport::Transport& t) {
       }
     }
   };
-  const auto pair_count = [&](int src, int dst) {
-    return dp.pair_inflight[static_cast<std::size_t>(src) * ctl.cfg.nranks +
-                            static_cast<std::size_t>(dst)]
-        .load(std::memory_order_acquire);
-  };
 
   // Phase 1 — FENCE: after this publication's grace period, every send for
   // the pair parks (in order) instead of injecting, and protocol selection
-  // already sees the new carrier's caps/limits. The in-flight counters can
-  // only fall: increments happened-before the grace period's v.mu handoff.
+  // already sees the new carrier's caps/limits. The pair's `sent` counts
+  // are frozen from here on: every increment happened-before the grace
+  // period's v.mu handoff, so in flight = sent - recvd can only fall.
   publish_pair(/*fence=*/true);
 
   // Phase 2 — DRAIN: deliver everything still riding the old carrier.
   // Replies the deliveries generate (CTS/ACK/refilled pipeline chunks) park
-  // behind the fence, so the counters reach zero; polling both endpoints
-  // from this thread is what moves them. A virtual clock must be advanced
-  // or the simulated NIC's delivery deadlines never come due.
-  while (pair_count(a, b) != 0 || pair_count(b, a) != 0) {
+  // behind the fence, so `recvd` catches up with `sent`; polling both
+  // endpoints from this thread is what moves it. A virtual clock must be
+  // advanced or the simulated NIC's delivery deadlines never come due.
+  while (dp.pairs.inflight(a, b) != 0 || dp.pairs.inflight(b, a) != 0) {
     drive(a);
     drive(b);
     if (ctl.vclock != nullptr) ctl.vclock->advance(1e-6);

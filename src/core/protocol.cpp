@@ -51,7 +51,7 @@ void inject(Vci& v, const TopologySnapshot& topo, Msg&& m,
             std::uint64_t cookie) MPX_REQUIRES(v.mu) {
   const int src = m.h.src_rank;
   const int dst = m.h.dst_rank;
-  topo.inflight_add(src, dst, +1);
+  topo.pairs->count_sent(src, dst);
   if (topo.carrier(src, dst)->send(std::move(m), cookie) && cookie != 0) {
     v.synth_cq.push_back(cookie);
   }
@@ -343,9 +343,9 @@ class VciSink final : public transport::TransportSink {
  private:
   /// Exactly-once in-flight accounting for one arrival, regardless of
   /// which entry point it came through (on_msg_inline must NOT forward to
-  /// on_msg, or a materialized control message would decrement twice).
+  /// on_msg, or a materialized control message would count twice).
   void arrived(const MsgHeader& h) MPX_REQUIRES(v_.mu) {
-    (*v_.topo_cache).inflight_add(h.src_rank, h.dst_rank, -1);
+    (*v_.topo_cache).pairs->count_recvd(h.src_rank, h.dst_rank);
   }
 
   void dispatch(Msg&& m) MPX_REQUIRES(v_.mu) {
@@ -388,7 +388,7 @@ void route_send_eager(Vci& v, const MsgHeader& h, base::ConstByteSpan payload) {
     v.fence_parked.push_back(ParkedSend{std::move(m), 0});
     return;
   }
-  topo.inflight_add(h.src_rank, h.dst_rank, +1);
+  topo.pairs->count_sent(h.src_rank, h.dst_rank);
   topo.carrier(h.src_rank, h.dst_rank)->send_eager(h, payload, 0);
 }
 
@@ -463,7 +463,6 @@ Request isend_impl(const std::shared_ptr<CommImpl>& comm, int my_rank,
   auto* r = new RequestImpl(ReqKind::send);
   r->world = &w;
   r->vci = &v;
-  r->comm = comm;
   r->self = self;
   r->peer = peer;
   r->peer_vci = comm->vcis[static_cast<std::size_t>(dst)];

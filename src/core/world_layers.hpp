@@ -73,10 +73,11 @@ struct Datapath {
   /// transport-order reads on the hot path resolve through one
   /// acquire-load of this handle per poll/send.
   TopologyHandle topo;
-  /// In-flight message counters, one per (src, dst) pair
-  /// (src * nranks + dst). Owned here — NOT by the snapshot — because they
-  /// must survive publications; every snapshot points at this storage.
-  std::vector<mc::atomic<std::int64_t>> pair_inflight;
+  /// In-flight message counters per (src, dst) pair (sender-written sent
+  /// rows, receiver-written recvd rows). Owned here — NOT by the snapshot —
+  /// because they must survive publications; every snapshot points at
+  /// this storage.
+  PairCounters pairs;
   /// Per-rank VCI tables (lock-free lookup; see RankCtx).
   std::vector<std::unique_ptr<RankCtx>> ranks;
 };

@@ -88,8 +88,11 @@ std::shared_ptr<const TypeRep> make_rep(TypeRep r) {
 }  // namespace
 
 Datatype Datatype::of(Primitive p) {
-  // One cached rep per primitive.
-  static const auto reps = [] {
+  // One immortal rep per primitive (never freed, so no static-destruction
+  // order can outlive it). Handles alias it with an empty owner: copying a
+  // builtin handle — every receive stores one — touches no shared
+  // refcount line.
+  static const auto* reps = new auto([] {
     std::vector<std::shared_ptr<const TypeRep>> v;
     for (int i = 0; i <= static_cast<int>(Primitive::float64); ++i) {
       TypeRep r;
@@ -102,8 +105,10 @@ Datatype Datatype::of(Primitive p) {
       v.push_back(std::make_shared<const TypeRep>(std::move(r)));
     }
     return v;
-  }();
-  return Datatype(reps[static_cast<std::size_t>(p)]);
+  }());
+  return Datatype(std::shared_ptr<const TypeRep>(
+      std::shared_ptr<const TypeRep>(),
+      (*reps)[static_cast<std::size_t>(p)].get()));
 }
 
 Datatype Datatype::contiguous(int count, const Datatype& old) {

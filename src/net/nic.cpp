@@ -14,8 +14,7 @@ Nic::Nic(int nranks, int max_vcis, CostModel model, const base::Clock& clock,
       limits_(limits),
       clock_(clock),
       channels_(static_cast<std::size_t>(nranks) * nranks * max_vcis),
-      send_cqs_(static_cast<std::size_t>(nranks) * max_vcis),
-      ep_pending_(static_cast<std::size_t>(nranks) * max_vcis) {
+      endpoints_(static_cast<std::size_t>(nranks) * max_vcis) {
   expects(nranks >= 1 && max_vcis >= 1, "Nic: bad dimensions");
 }
 
@@ -29,14 +28,11 @@ const Nic::Channel& Nic::channel(int src, int dst, int vci) const {
                        max_vcis_ +
                    vci];
 }
-Nic::SendCq& Nic::send_cq(int rank, int vci) {
-  return send_cqs_[static_cast<std::size_t>(rank) * max_vcis_ + vci];
+Nic::Endpoint& Nic::endpoint(int rank, int vci) {
+  return endpoints_[static_cast<std::size_t>(rank) * max_vcis_ + vci];
 }
-const Nic::SendCq& Nic::send_cq(int rank, int vci) const {
-  return send_cqs_[static_cast<std::size_t>(rank) * max_vcis_ + vci];
-}
-std::atomic<std::uint32_t>& Nic::ep_pending(int rank, int vci) {
-  return ep_pending_[static_cast<std::size_t>(rank) * max_vcis_ + vci];
+const Nic::Endpoint& Nic::endpoint(int rank, int vci) const {
+  return endpoints_[static_cast<std::size_t>(rank) * max_vcis_ + vci];
 }
 
 void Nic::inject(Msg&& m, std::uint64_t cookie) {
@@ -46,19 +42,18 @@ void Nic::inject(Msg&& m, std::uint64_t cookie) {
   expects(m.h.dst_vci >= 0 && m.h.dst_vci < max_vcis_ && m.h.src_vci >= 0 &&
               m.h.src_vci < max_vcis_,
           "Nic::inject: vci out of range");
-  injected_.fetch_add(1, std::memory_order_relaxed);
+  Endpoint& src = endpoint(m.h.src_rank, m.h.src_vci);
+  src.injected.fetch_add(1, std::memory_order_relaxed);
   const double now = clock_.now();
   const std::size_t bytes = m.payload.size();
-  const int src_rank = m.h.src_rank;
-  const int src_vci = m.h.src_vci;
 
   // Pending counts rise before the matching push (mirror of the engine's
   // hook_count): a poller reading zero is then guaranteed the queues held
   // nothing it could miss, while a nonzero read at worst costs one
   // unproductive locked scan.
   Channel& ch = channel(m.h.src_rank, m.h.dst_rank, m.h.dst_vci);
-  ep_pending(m.h.dst_rank, m.h.dst_vci)
-      .fetch_add(1, std::memory_order_release);
+  endpoint(m.h.dst_rank, m.h.dst_vci)
+      .pending.fetch_add(1, std::memory_order_release);
   {
     base::LockGuard<base::Spinlock> g(ch.mu);
     const double due = model_.deliver_time(now, ch.clear_time, bytes);
@@ -67,10 +62,9 @@ void Nic::inject(Msg&& m, std::uint64_t cookie) {
   }
 
   if (cookie != 0) {
-    SendCq& cq = send_cq(src_rank, src_vci);
-    ep_pending(src_rank, src_vci).fetch_add(1, std::memory_order_release);
-    base::LockGuard<base::Spinlock> g(cq.mu);
-    cq.q.push_back(CqEntry{model_.inject_done_time(now, bytes), cookie});
+    src.pending.fetch_add(1, std::memory_order_release);
+    base::LockGuard<base::Spinlock> g(src.mu);
+    src.cq.push_back(CqEntry{model_.inject_done_time(now, bytes), cookie});
   }
 }
 
@@ -79,21 +73,21 @@ void Nic::poll(int rank, int vci, transport::TransportSink& sink,
   // Quiet-endpoint fast path: nothing in flight to or from (rank, vci)
   // means no lock or clock read is worth paying. A racing inject() is
   // caught by a later poll (delivery may lag injection, as everywhere).
-  if (ep_pending(rank, vci).load(std::memory_order_acquire) == 0) return;
+  Endpoint& ep = endpoint(rank, vci);
+  if (ep.pending.load(std::memory_order_acquire) == 0) return;
   const double now = clock_.now();
 
   // 1) Fire due sender-side completions (injection DMA done).
-  SendCq& cq = send_cq(rank, vci);
   for (;;) {
     std::uint64_t cookie = 0;
     {
-      base::LockGuard<base::Spinlock> g(cq.mu);
-      if (cq.q.empty() || cq.q.front().due > now) break;
-      cookie = cq.q.front().cookie;
-      cq.q.pop_front();
+      base::LockGuard<base::Spinlock> g(ep.mu);
+      if (ep.cq.empty() || ep.cq.front().due > now) break;
+      cookie = ep.cq.front().cookie;
+      ep.cq.pop_front();
     }
-    ep_pending(rank, vci).fetch_sub(1, std::memory_order_relaxed);
-    cq_events_.fetch_add(1, std::memory_order_relaxed);
+    ep.pending.fetch_sub(1, std::memory_order_relaxed);
+    ep.cq_events.fetch_add(1, std::memory_order_relaxed);
     if (made_progress != nullptr) *made_progress = 1;
     sink.on_send_complete(cookie);
   }
@@ -109,8 +103,8 @@ void Nic::poll(int rank, int vci, transport::TransportSink& sink,
         m = std::move(ch.in_flight.front().msg);
         ch.in_flight.pop_front();
       }
-      ep_pending(rank, vci).fetch_sub(1, std::memory_order_relaxed);
-      delivered_.fetch_add(1, std::memory_order_relaxed);
+      ep.pending.fetch_sub(1, std::memory_order_relaxed);
+      ep.delivered.fetch_add(1, std::memory_order_relaxed);
       if (made_progress != nullptr) *made_progress = 1;
       sink.on_msg(std::move(m));
     }
@@ -119,9 +113,9 @@ void Nic::poll(int rank, int vci, transport::TransportSink& sink,
 
 bool Nic::idle(int rank, int vci) const {
   {
-    const SendCq& cq = send_cq(rank, vci);
-    base::LockGuard<base::Spinlock> g(cq.mu);
-    if (!cq.q.empty()) return false;
+    const Endpoint& ep = endpoint(rank, vci);
+    base::LockGuard<base::Spinlock> g(ep.mu);
+    if (!ep.cq.empty()) return false;
   }
   for (int src = 0; src < nranks_; ++src) {
     const Channel& ch = channel(src, rank, vci);
@@ -132,17 +126,22 @@ bool Nic::idle(int rank, int vci) const {
 }
 
 NicStats Nic::stats() const {
-  return NicStats{injected_.load(std::memory_order_relaxed),
-                  delivered_.load(std::memory_order_relaxed),
-                  cq_events_.load(std::memory_order_relaxed)};
+  NicStats s;
+  for (const Endpoint& ep : endpoints_) {
+    s.injected += ep.injected.load(std::memory_order_relaxed);
+    s.delivered += ep.delivered.load(std::memory_order_relaxed);
+    s.cq_events += ep.cq_events.load(std::memory_order_relaxed);
+  }
+  return s;
 }
 
 transport::TransportStats Nic::transport_stats() const {
+  const NicStats st = stats();
   transport::TransportStats s;
-  s.sends = injected_.load(std::memory_order_relaxed);
-  s.delivered = delivered_.load(std::memory_order_relaxed);
+  s.sends = st.injected;
+  s.delivered = st.delivered;
   s.backlogged = 0;  // the simulated NIC never back-pressures injection
-  s.completions = cq_events_.load(std::memory_order_relaxed);
+  s.completions = st.cq_events;
   return s;
 }
 

@@ -99,14 +99,19 @@ void ShmTransport::init_arena(Channel& ch) {
   ch.arena = arena;
 }
 
-bool ShmTransport::push_cell(Channel& ch, const MsgHeader& h,
+bool ShmTransport::push_cell(Channel& ch, Endpoint& src, const MsgHeader& h,
                              base::ConstByteSpan payload,
                              base::Buffer& overflow) {
   if (ch.arena == nullptr) init_arena(ch);
-  const std::uint32_t hd = ch.head.load(std::memory_order_relaxed);
+  // ch.mu already orders this load after the previous producer's store;
+  // acquire (free on x86) states that for the model checker, whose relaxed
+  // loads may read values older than a store ordered by a lock. Producers
+  // of one channel include its consumer's thread when it flushes parked
+  // sends (pull_parked).
+  const std::uint32_t hd = ch.head.load(std::memory_order_acquire);
   const std::uint32_t tl = ch.tail.load(std::memory_order_acquire);
   if (static_cast<std::size_t>(hd - tl) == cells_) {
-    ring_full_.fetch_add(1, std::memory_order_relaxed);
+    src.ring_full.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   Cell& c = cell_at(ch, hd);
@@ -118,7 +123,7 @@ bool ShmTransport::push_cell(Channel& ch, const MsgHeader& h,
   } else {
     if (!payload.empty()) {
       std::memcpy(c.inline_data(), payload.data(), payload.size());
-      inline_hits_.fetch_add(1, std::memory_order_relaxed);
+      src.inline_hits.fetch_add(1, std::memory_order_relaxed);
     }
     c.inline_bytes = static_cast<std::uint32_t>(payload.size());
   }
@@ -126,23 +131,48 @@ bool ShmTransport::push_cell(Channel& ch, const MsgHeader& h,
   return true;
 }
 
-bool ShmTransport::push_msg(Channel& ch, Msg& m) {
+bool ShmTransport::push_msg(Channel& ch, Endpoint& src, Msg& m) {
   if (m.payload.size() <= slot_bytes_) {
     base::Buffer none;
-    return push_cell(ch, m.h, m.payload.span(), none);
+    return push_cell(ch, src, m.h, m.payload.span(), none);
   }
   // Oversize payload: the owned (typically pooled) buffer rides in the cell.
   base::Buffer ovf = std::move(m.payload);
-  if (push_cell(ch, m.h, base::ConstByteSpan{}, ovf)) return true;
+  if (push_cell(ch, src, m.h, base::ConstByteSpan{}, ovf)) return true;
   m.payload = std::move(ovf);  // ring full: give the payload back
   return false;
 }
 
 void ShmTransport::park(Endpoint& ep, Msg&& m, std::uint64_t cookie) {
+  Channel& ch = channel(m.h.src_rank, m.h.dst_rank, m.h.dst_vci);
   base::LockGuard<base::Spinlock> g(ep.mu);
   ep.q.emplace_back(std::move(m), cookie);
   ep.count.store(static_cast<std::uint32_t>(ep.q.size()),
                  std::memory_order_release);
+  ch.waiting.fetch_add(1, std::memory_order_relaxed);
+}
+
+bool ShmTransport::flush_parked(Endpoint& ep,
+                                std::vector<std::uint64_t>* done) {
+  bool flushed = false;
+  while (!ep.q.empty()) {
+    auto& [msg, cookie] = ep.q.front();
+    if (cookie != 0 && done == nullptr) break;
+    Channel& ch = channel(msg.h.src_rank, msg.h.dst_rank, msg.h.dst_vci);
+    bool pushed;
+    {
+      base::LockGuard<base::Spinlock> cg(ch.mu);
+      pushed = push_msg(ch, ep, msg);
+    }
+    if (!pushed) break;  // still full; keep FIFO, retry next poll
+    ch.waiting.fetch_sub(1, std::memory_order_relaxed);
+    flushed = true;
+    if (cookie != 0) done->push_back(cookie);
+    ep.q.pop_front();
+  }
+  ep.count.store(static_cast<std::uint32_t>(ep.q.size()),
+                 std::memory_order_release);
+  return flushed;
 }
 
 bool ShmTransport::send(Msg&& m, std::uint64_t cookie) {
@@ -151,9 +181,9 @@ bool ShmTransport::send(Msg&& m, std::uint64_t cookie) {
           "ShmTransport::send: rank out of range");
   expects(m.h.dst_vci >= 0 && m.h.dst_vci < max_vcis_,
           "ShmTransport::send: vci out of range");
-  sends_.fetch_add(1, std::memory_order_relaxed);
-
   Endpoint& ep = endpoint(m.h.src_rank, m.h.src_vci);
+  ep.sends.fetch_add(1, std::memory_order_relaxed);
+
   // Preserve channel FIFO order: if anything is already parked for this
   // source endpoint, new sends must queue behind it (no ring probe — this
   // is an envelope park, not a full-slot stall).
@@ -165,7 +195,7 @@ bool ShmTransport::send(Msg&& m, std::uint64_t cookie) {
   Channel& ch = channel(m.h.src_rank, m.h.dst_rank, m.h.dst_vci);
   {
     base::LockGuard<base::Spinlock> g(ch.mu);
-    if (push_msg(ch, m)) return true;
+    if (push_msg(ch, ep, m)) return true;
   }
   park(ep, std::move(m), cookie);
   return false;
@@ -178,7 +208,8 @@ bool ShmTransport::send_eager(const MsgHeader& h, base::ConstByteSpan payload,
           "ShmTransport::send_eager: rank out of range");
   expects(h.dst_vci >= 0 && h.dst_vci < max_vcis_,
           "ShmTransport::send_eager: vci out of range");
-  sends_.fetch_add(1, std::memory_order_relaxed);
+  Endpoint& ep = endpoint(h.src_rank, h.src_vci);
+  ep.sends.fetch_add(1, std::memory_order_relaxed);
 
   // Mid-size payloads go into a size-classed pooled block. Copy before any
   // lock: the block transfers to the receiver as-is, so this is still the
@@ -190,11 +221,10 @@ bool ShmTransport::send_eager(const MsgHeader& h, base::ConstByteSpan payload,
     inline_src = base::ConstByteSpan{};
   }
 
-  Endpoint& ep = endpoint(h.src_rank, h.src_vci);
   if (ep.count.load(std::memory_order_acquire) == 0) {
     Channel& ch = channel(h.src_rank, h.dst_rank, h.dst_vci);
     base::LockGuard<base::Spinlock> g(ch.mu);
-    if (push_cell(ch, h, inline_src, ovf)) return true;
+    if (push_cell(ch, ep, h, inline_src, ovf)) return true;
   }
 
   // Backlogged or full: park an owned copy (the one allocation on this
@@ -220,21 +250,7 @@ void ShmTransport::poll(int rank, int vci, transport::TransportSink& sink,
     bool flushed = false;
     {
       base::LockGuard<base::Spinlock> g(ep.mu);
-      while (!ep.q.empty()) {
-        auto& [msg, cookie] = ep.q.front();
-        Channel& ch = channel(msg.h.src_rank, msg.h.dst_rank, msg.h.dst_vci);
-        bool pushed;
-        {
-          base::LockGuard<base::Spinlock> cg(ch.mu);
-          pushed = push_msg(ch, msg);
-        }
-        if (!pushed) break;  // still full; keep FIFO, retry next poll
-        flushed = true;
-        if (cookie != 0) done.push_back(cookie);
-        ep.q.pop_front();
-      }
-      ep.count.store(static_cast<std::uint32_t>(ep.q.size()),
-                     std::memory_order_release);
+      flushed = flush_parked(ep, &done);
     }
     if (flushed && made_progress != nullptr) *made_progress = 1;
     for (const std::uint64_t c : done) sink.on_send_complete(c);
@@ -250,11 +266,20 @@ void ShmTransport::poll(int rank, int vci, transport::TransportSink& sink,
   // the outer batch's cells twice. The inner call skips delivery; the
   // outer drain finishes its batch. `delivering` is plain data because the
   // consumer side of an endpoint is serialized by contract (the VCI lock).
+  //
+  // A channel with parked sends bound for it gets them flushed from here
+  // first (the batch below then delivers what fit): an eager send
+  // completes when it parks, so its sender may never poll again (it may
+  // be done, or blocked on something this receiver has yet to send).
   if (ep.delivering) return;
   ep.delivering = true;
   std::uint64_t ndelivered = 0;
+  bool pulled = false;
   for (int src = 0; src < nranks_; ++src) {
     Channel& ch = channel(src, rank, vci);
+    if (ch.waiting.load(std::memory_order_relaxed) != 0) {
+      pulled = pull_parked(src) || pulled;
+    }
     const std::uint32_t t = ch.tail.load(std::memory_order_relaxed);
     const std::uint32_t h = ch.head.load(std::memory_order_acquire);
     if (h == t) continue;
@@ -276,13 +301,26 @@ void ShmTransport::poll(int rank, int vci, transport::TransportSink& sink,
     }
     ch.tail.store(t + n, std::memory_order_release);
     ndelivered += n;
-    if (n >= 2) batched_.fetch_add(1, std::memory_order_relaxed);
+    if (n >= 2) ep.batched.fetch_add(1, std::memory_order_relaxed);
   }
   ep.delivering = false;
   if (ndelivered != 0) {
-    delivered_.fetch_add(ndelivered, std::memory_order_relaxed);
-    if (made_progress != nullptr) *made_progress = 1;
+    ep.delivered.fetch_add(ndelivered, std::memory_order_relaxed);
   }
+  if ((ndelivered != 0 || pulled) && made_progress != nullptr) {
+    *made_progress = 1;
+  }
+}
+
+bool ShmTransport::pull_parked(int src) {
+  bool moved = false;
+  for (int v = 0; v < max_vcis_; ++v) {
+    Endpoint& sep = endpoint(src, v);
+    if (sep.count.load(std::memory_order_acquire) == 0) continue;
+    base::LockGuard<base::Spinlock> g(sep.mu);
+    moved = flush_parked(sep, nullptr) || moved;
+  }
+  return moved;
 }
 
 bool ShmTransport::idle(int rank, int vci) const {
@@ -290,8 +328,9 @@ bool ShmTransport::idle(int rank, int vci) const {
   if (ep.count.load(std::memory_order_acquire) != 0) return false;
   for (int src = 0; src < nranks_; ++src) {
     const Channel& ch = channel(src, rank, vci);
-    if (ch.head.load(std::memory_order_acquire) !=
-        ch.tail.load(std::memory_order_acquire)) {
+    if (ch.waiting.load(std::memory_order_relaxed) != 0 ||
+        ch.head.load(std::memory_order_acquire) !=
+            ch.tail.load(std::memory_order_acquire)) {
       return false;
     }
   }
@@ -299,18 +338,23 @@ bool ShmTransport::idle(int rank, int vci) const {
 }
 
 ShmStats ShmTransport::stats() const {
-  return ShmStats{sends_.load(std::memory_order_relaxed),
-                  ring_full_.load(std::memory_order_relaxed),
-                  delivered_.load(std::memory_order_relaxed),
-                  batched_.load(std::memory_order_relaxed),
-                  inline_hits_.load(std::memory_order_relaxed)};
+  ShmStats s;
+  for (const Endpoint& ep : endpoints_) {
+    s.sends += ep.sends.load(std::memory_order_relaxed);
+    s.ring_full_events += ep.ring_full.load(std::memory_order_relaxed);
+    s.delivered += ep.delivered.load(std::memory_order_relaxed);
+    s.batched_deliveries += ep.batched.load(std::memory_order_relaxed);
+    s.inline_payload_hits += ep.inline_hits.load(std::memory_order_relaxed);
+  }
+  return s;
 }
 
 transport::TransportStats ShmTransport::transport_stats() const {
+  const ShmStats st = stats();
   transport::TransportStats s;
-  s.sends = sends_.load(std::memory_order_relaxed);
-  s.delivered = delivered_.load(std::memory_order_relaxed);
-  s.backlogged = ring_full_.load(std::memory_order_relaxed);
+  s.sends = st.sends;
+  s.delivered = st.delivered;
+  s.backlogged = st.ring_full_events;
   // Shm eager sends are locally complete; deferred-cookie completions (full
   // ring parks) are rare and folded into `backlogged`.
   s.completions = 0;

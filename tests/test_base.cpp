@@ -21,6 +21,7 @@
 #include "mpx/base/spinlock.hpp"
 #include "mpx/base/stats.hpp"
 #include "mpx/base/thread.hpp"
+#include "mpx/core/detail/request_impl.hpp"
 #include "mpx/mc/sync.hpp"
 
 using namespace mpx::base;
@@ -235,6 +236,29 @@ TEST(Stats, SummaryAndTrimmedMean) {
   EXPECT_NEAR(s.max_us, 1000.0, 1e-9);
 }
 
+TEST(Stats, MergeCombinesPerThreadRecorders) {
+  std::vector<LatencyRecorder> per_thread(4);
+  {
+    std::vector<std::thread> ts;
+    for (std::size_t t = 0; t < per_thread.size(); ++t) {
+      ts.emplace_back([&per_thread, t] {
+        for (int i = 1; i <= 25; ++i) {
+          per_thread[t].add_us(static_cast<double>(t * 25 + i));
+        }
+      });
+    }
+    for (auto& t : ts) t.join();
+  }
+  LatencyRecorder all;
+  for (const LatencyRecorder& r : per_thread) all.merge(r);
+  all.merge(all);  // self-merge is a no-op
+  const LatencySummary s = all.summarize();
+  EXPECT_EQ(s.count, 100u);
+  EXPECT_NEAR(s.min_us, 1.0, 1e-9);
+  EXPECT_NEAR(s.max_us, 100.0, 1e-9);
+  EXPECT_NEAR(s.mean_us, 50.5, 1e-9);
+}
+
 TEST(Stats, MeanAccumulatorWelford) {
   MeanAccumulator m;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) m.add(x);
@@ -373,6 +397,159 @@ TEST(Pool, PayloadPoolRecyclesPerSizeClass) {
     Buffer b = pooled_buffer(256);
     EXPECT_GT(pool.stats().hits, before.hits);  // storage was recycled
   }
+}
+
+// Blocks allocated on one thread and freed on another (eager payloads:
+// sender allocates, receiver frees; requests: the last reference drops on
+// any thread) park on the freeing thread's shard. The allocating thread's
+// refill must keep recycling them, so a one-way stream settles into zero
+// allocator calls per message instead of one operator new each.
+TEST(Pool, CrossThreadStreamKeepsRecycling) {
+  constexpr int kMessages = 100000;
+  constexpr int kWarmup = 1000;
+  constexpr std::size_t kWindow = 64;  // in-flight bound of the hand-off
+  constexpr std::size_t kPayload = 4096;
+  PayloadPool& payload = PayloadPool::instance();
+  FixedBlockPool& requests = mpx::core_detail::request_pool();
+  const std::size_t req_bytes = sizeof(mpx::core_detail::RequestImpl);
+  const PoolStats pay0 = payload.stats();
+  const PoolStats req0 = requests.stats();
+
+  struct Item {
+    Buffer payload;
+    void* request = nullptr;
+  };
+  SpscRing<Item> ring(kWindow);
+  PoolStats pay_warm, req_warm;  // written by the consumer, read after join
+  std::thread producer([&] {
+    for (int i = 0; i < kMessages; ++i) {
+      Item it{pooled_buffer(kPayload), requests.allocate(req_bytes)};
+      it.payload.data()[0] = static_cast<std::byte>(i);
+      while (!ring.try_push(std::move(it))) cpu_relax();
+    }
+  });
+  std::thread consumer([&] {
+    for (int i = 0; i < kMessages; ++i) {
+      std::optional<Item> it;
+      while (!(it = ring.try_pop())) cpu_relax();
+      EXPECT_EQ(it->payload.data()[0], static_cast<std::byte>(i));
+      requests.deallocate(it->request);
+      it->payload = Buffer();  // freed here, on the consumer's shard
+      if (i == kWarmup) {
+        pay_warm = payload.stats();
+        req_warm = requests.stats();
+      }
+    }
+  });
+  producer.join();
+  consumer.join();
+
+  const PoolStats pay1 = payload.stats();
+  const PoolStats req1 = requests.stats();
+  EXPECT_EQ(pay1.live, pay0.live);
+  EXPECT_EQ(req1.live, req0.live);
+  if (pool_passthrough()) return;  // every block went to the allocator
+  // Parked storage stays within the documented per-shard bound.
+  const auto pay_cap =
+      static_cast<std::size_t>(cvar_int("MPX_POOL_PAYLOAD_CAP", 128));
+  const auto req_cap =
+      static_cast<std::size_t>(cvar_int("MPX_POOL_REQUEST_CAP", 1024));
+  EXPECT_LE(pay1.free_count - pay0.free_count, kPoolShards * pay_cap);
+  EXPECT_LE(req1.free_count, kPoolShards * req_cap);
+  // Once the blocks in circulation cover the window, every acquire is
+  // served from a freelist: fewer misses than one window's worth, not one
+  // per message.
+  EXPECT_LT(pay1.misses - pay_warm.misses, kWindow);
+  EXPECT_LT(req1.misses - req_warm.misses, kWindow);
+  EXPECT_GE(pay1.hits - pay0.hits,
+            static_cast<std::uint64_t>(kMessages - kWarmup));
+}
+
+// The MPX_POOL_*_CAP bound: driving each thread's shard past its cap drops
+// the excess to the allocator, counted as overflow, and leaks nothing.
+TEST(Pool, CapsOverflowFromFourThreads) {
+  constexpr int kThreads = 4;
+  constexpr std::size_t kExtra = 100;
+  constexpr std::size_t kPayload = 4096;
+  PayloadPool& payload = PayloadPool::instance();
+  FixedBlockPool& requests = mpx::core_detail::request_pool();
+  const std::size_t req_bytes = sizeof(mpx::core_detail::RequestImpl);
+  const auto pay_cap =
+      static_cast<std::size_t>(cvar_int("MPX_POOL_PAYLOAD_CAP", 128));
+  const auto req_cap =
+      static_cast<std::size_t>(cvar_int("MPX_POOL_REQUEST_CAP", 1024));
+  const PoolStats pay0 = payload.stats();
+  const PoolStats req0 = requests.stats();
+
+  // Allocate everything, then (after every thread has) free everything:
+  // with no acquire in flight, no refill can empty a shard mid-release, so
+  // each thread's shard ends exactly at its cap.
+  std::atomic<int> allocated{0};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&] {
+      std::vector<Buffer> bufs;
+      std::vector<void*> reqs;
+      for (std::size_t i = 0; i < pay_cap + kExtra; ++i) {
+        bufs.push_back(pooled_buffer(kPayload));
+      }
+      for (std::size_t i = 0; i < req_cap + kExtra; ++i) {
+        reqs.push_back(requests.allocate(req_bytes));
+      }
+      allocated.fetch_add(1, std::memory_order_acq_rel);
+      while (allocated.load(std::memory_order_acquire) != kThreads) {
+        cpu_relax();
+      }
+      bufs.clear();
+      for (void* r : reqs) requests.deallocate(r);
+    });
+  }
+  for (auto& t : ts) t.join();
+
+  const PoolStats pay1 = payload.stats();
+  const PoolStats req1 = requests.stats();
+  EXPECT_EQ(pay1.live, pay0.live);
+  EXPECT_EQ(req1.live, req0.live);
+  EXPECT_GE(pay1.overflow - pay0.overflow, kThreads * kExtra);
+  EXPECT_GE(req1.overflow - req0.overflow, kThreads * kExtra);
+  EXPECT_LE(pay1.free_count - pay0.free_count, kPoolShards * pay_cap);
+  EXPECT_LE(req1.free_count, kPoolShards * req_cap);
+  if (!pool_passthrough()) {
+    // Each thread's shard (distinct: fewer live threads than shards)
+    // ended at exactly its cap.
+    EXPECT_GE(pay1.free_count, kThreads * pay_cap);
+    EXPECT_GE(req1.free_count, kThreads * req_cap);
+  }
+}
+
+// Threads claim distinct shards while any is free, share them beyond
+// kPoolShards, and hand them back at exit.
+TEST(Pool, ShardClaimsAreDistinctAndReturned) {
+  using mpx::base::pool_detail::this_thread_shard;
+  constexpr std::size_t kLive = kPoolShards - 1;  // the main thread has one
+  const std::size_t main_shard = this_thread_shard();
+  std::vector<std::size_t> got(kLive);
+  std::atomic<std::size_t> claimed{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> ts;
+  for (std::size_t t = 0; t < kLive; ++t) {
+    ts.emplace_back([&, t] {
+      got[t] = this_thread_shard();
+      claimed.fetch_add(1, std::memory_order_acq_rel);
+      while (!release.load(std::memory_order_acquire)) cpu_relax();
+    });
+  }
+  while (claimed.load(std::memory_order_acquire) != kLive) cpu_relax();
+  release.store(true, std::memory_order_release);
+  for (auto& t : ts) t.join();
+  std::set<std::size_t> distinct(got.begin(), got.end());
+  distinct.insert(main_shard);
+  EXPECT_EQ(distinct.size(), kPoolShards);
+  // Every claim came back: a fresh thread again gets an unused shard, not
+  // the main thread's.
+  std::size_t fresh = main_shard;
+  std::thread([&] { fresh = this_thread_shard(); }).join();
+  EXPECT_NE(fresh, main_shard);
 }
 
 TEST(Locks, SpinlockMutualExclusion) {

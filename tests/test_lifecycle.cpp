@@ -1,7 +1,7 @@
 // Resource-lifecycle tests: every protocol path must release all of its
-// request references — RequestImpl::live_count is the tripwire. A leaked
-// protocol reference (cookie taken but never adopted, posted-list entry
-// never dropped, ...) shows up here as a nonzero delta.
+// request references — the request pool's summed `live` count is the
+// tripwire. A leaked protocol reference (cookie taken but never adopted,
+// posted-list entry never dropped, ...) shows up here as a nonzero delta.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -12,11 +12,12 @@
 #include "test_util.hpp"
 
 using namespace mpx;
-using core_detail::RequestImpl;
 
 namespace {
 
-long live() { return RequestImpl::live_count().load(); }
+long live() {
+  return static_cast<long>(core_detail::request_pool().stats().live);
+}
 
 }  // namespace
 

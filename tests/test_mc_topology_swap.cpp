@@ -22,6 +22,14 @@
 //     topology_quiesce before reclaiming must be caught (as a data race
 //     between a still-pinned reader and the reclaim). A checker that
 //     cannot catch the skipped grace period proves nothing about 2.
+//
+//  5. Fence -> drain -> cutover over the split in-flight counters
+//     (PairCounters: sender-written `sent`, receiver-written `recvd`):
+//     once the fenced publication's grace period has run, a drain that
+//     waits for sent - recvd == 0 leaves no message on the old carrier,
+//     and no sender injects onto it afterwards. Without the grace period
+//     (seeded mutation) a sender that pinned the unfenced snapshot injects
+//     after the drain concluded, which must be caught.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -197,6 +205,104 @@ TEST(McTopologySwap, SkippedGracePeriodIsCaught) {
   RecordProperty("summary", res.summary());
   EXPECT_FALSE(res.ok())
       << "skipping the grace period went undetected: " << res.summary();
+  EXPECT_FALSE(res.failure.empty());
+}
+
+namespace {
+
+// One old-carrier channel 0 -> 1: `head` is published by the sender (under
+// its VCI lock mu0), `tail` is consumed under the receiver's VCI lock mu1.
+struct OldCarrier {
+  mc::atomic<int> head{0};
+  int msgs[2] = {0, 0};
+  int tail = 0;  // guarded by mu1
+};
+
+// The fence -> drain -> cutover sequence of World::swap_topology_for_test
+// against a sender that sends twice. `grace` = false is the seeded
+// mutation that skips the fence publication's grace period.
+mc::Result drain_scenario(const char* name, bool grace) {
+  mc::Options opt;
+  opt.name = name;
+  return mc::explore(opt, [grace] {
+    mpx::core_detail::PairCounters pairs;
+    pairs.resize(2);
+    TopologySnapshot a, b;
+    build(a, 1, old_t(), /*fence01=*/false);
+    build(b, 2, new_t(), /*fence01=*/true);
+    a.pairs = &pairs;
+    b.pairs = &pairs;
+    TopologyHandle h;
+    h.install(&a);
+    mc::atomic<std::uint64_t> obs0{0};  // the sender VCI's topo_epoch
+    mc::mutex mu0, mu1;                 // sender / receiver VCI locks
+    OldCarrier ch;
+    int parked = 0;  // sends held behind the fence (sender-local)
+
+    mc::thread sender([&] {
+      for (int i = 0; i < 2; ++i) {
+        mu0.lock();
+        const TopologySnapshot* s = topology_pin(h, obs0);
+        if (s->fenced(0, 1)) {
+          ++parked;
+        } else {
+          s->pairs->count_sent(0, 1);
+          const int n = ch.head.load(std::memory_order_relaxed);
+          MPX_MC_PLAIN_WRITE(&ch.msgs[n], "old-carrier message");
+          ch.msgs[n] = i + 1;
+          ch.head.store(n + 1, std::memory_order_release);
+        }
+        mu0.unlock();
+      }
+    });
+
+    // Control thread: FENCE, then DRAIN by driving the receiver's progress
+    // until the pair reads zero in flight.
+    const TopologySnapshot* prev = h.publish(&b);
+    mc::check(prev == &a, "publish returned the wrong predecessor");
+    if (grace) topology_quiesce(obs0, 2, mu0);
+    while (pairs.inflight(0, 1) != 0) {
+      mu1.lock();
+      if (ch.tail < ch.head.load(std::memory_order_acquire)) {
+        MPX_MC_PLAIN_READ(&ch.msgs[ch.tail], "old-carrier message");
+        mc::check(ch.msgs[ch.tail] == ch.tail + 1, "old carrier reordered");
+        pairs.count_recvd(0, 1);
+        ++ch.tail;
+      }
+      mu1.unlock();
+      mc::yield();  // the real drain drives progress between reads
+    }
+    // CUTOVER: whatever the old carrier delivered by now is all it will
+    // ever carry.
+    mu1.lock();
+    const int drained = ch.tail;
+    mu1.unlock();
+
+    sender.join();
+    mc::check(ch.head.load(std::memory_order_acquire) == drained,
+              "a message reached the old carrier after the drain concluded");
+    mc::check(drained + parked == 2, "a send was lost");
+    mc::check(pairs.inflight(0, 1) == 0, "in-flight count did not settle");
+    (void)h.publish(nullptr);
+  });
+}
+
+}  // namespace
+
+TEST(McTopologySwap, DrainOverSplitCountersLeavesOldCarrierEmpty) {
+  const mc::Result res = drain_scenario("topology_drain", /*grace=*/true);
+  RecordProperty("summary", res.summary());
+  EXPECT_TRUE(res.ok()) << res.summary();
+  EXPECT_GT(res.schedules, 1);
+}
+
+TEST(McTopologySwap, DrainWithoutFenceGracePeriodIsCaught) {
+  const mc::Result res =
+      drain_scenario("topology_drain_no_grace", /*grace=*/false);
+  RecordProperty("summary", res.summary());
+  EXPECT_FALSE(res.ok())
+      << "draining without the fence's grace period went undetected: "
+      << res.summary();
   EXPECT_FALSE(res.failure.empty());
 }
 

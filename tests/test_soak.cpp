@@ -15,7 +15,7 @@
 using namespace mpx;
 
 TEST(Soak, RandomMixedWorkload) {
-  const long base_live = core_detail::RequestImpl::live_count().load();
+  const std::size_t base_live = core_detail::request_pool().stats().live;
   {
     WorldConfig cfg;
     cfg.nranks = 4;
@@ -103,5 +103,5 @@ TEST(Soak, RandomMixedWorkload) {
       EXPECT_GT(hook_polls.load(), 0);
     });
   }
-  EXPECT_EQ(core_detail::RequestImpl::live_count().load(), base_live);
+  EXPECT_EQ(core_detail::request_pool().stats().live, base_live);
 }

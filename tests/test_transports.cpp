@@ -3,6 +3,8 @@
 // FIFO, injection completions).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "mpx/base/clock.hpp"
@@ -80,6 +82,41 @@ TEST(ShmTransport, RingFullParksAndSenderProgressFlushes) {
   EXPECT_EQ(s1.msgs[5].h.tag, 5);
 }
 
+// An eager send is complete once it parks, so its sender may never poll
+// again. The receiver's own polls must drain such cookie-free parked sends
+// (in FIFO order); cookie'd ones stay with the sender, which alone can
+// report their completion.
+TEST(ShmTransport, ReceiverPollFlushesParkedSendsOfAnIdleSender) {
+  shm::ShmTransport t(2, 1, 4);  // tiny ring
+  for (int i = 0; i < 10; ++i) t.send(make_msg(0, 1, i), 0);
+  EXPECT_FALSE(t.idle(1, 0));
+  RecordingSink s1;
+  for (int polls = 0; polls < 10 && s1.msgs.size() < 10u; ++polls) {
+    t.poll(1, 0, s1, nullptr);  // the sender never polls
+  }
+  ASSERT_EQ(s1.msgs.size(), 10u);
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(s1.msgs[i].h.tag, static_cast<int>(i));
+  }
+  EXPECT_TRUE(t.idle(0, 0));
+  EXPECT_TRUE(t.idle(1, 0));
+
+  // A cookie'd park at the head stays for the sender's poll to report.
+  for (int i = 0; i < 4; ++i) t.send(make_msg(0, 1, 20 + i), 0);
+  EXPECT_FALSE(t.send(make_msg(0, 1, 24), /*cookie=*/5));
+  EXPECT_FALSE(t.send(make_msg(0, 1, 25), 0));
+  t.poll(1, 0, s1, nullptr);
+  t.poll(1, 0, s1, nullptr);
+  EXPECT_EQ(s1.msgs.size(), 14u);  // only the four that fit the ring
+  RecordingSink s0;
+  t.poll(0, 0, s0, nullptr);
+  EXPECT_EQ(s0.completions, (std::vector<std::uint64_t>{5}));
+  t.poll(1, 0, s1, nullptr);
+  ASSERT_EQ(s1.msgs.size(), 16u);
+  EXPECT_EQ(s1.msgs[14].h.tag, 24);
+  EXPECT_EQ(s1.msgs[15].h.tag, 25);
+}
+
 TEST(ShmTransport, GeometryRoundsCellsToPowerOfTwo) {
   shm::ShmTransport t(2, 1, /*cells=*/5, /*slot_bytes=*/100);
   EXPECT_EQ(t.cells(), 8u);
@@ -114,6 +151,42 @@ TEST(ShmTransport, BatchedDeliveryAndInlineHitCounters) {
   EXPECT_EQ(st.delivered, 6u);
   EXPECT_EQ(st.batched_deliveries, 1u);  // one drain moved all six cells
   EXPECT_EQ(st.inline_payload_hits, 6u);
+}
+
+// The stats live in per-endpoint counters and stats() sums them: three
+// sender threads into one receiver must still add up exactly, whichever
+// sends parked behind a full ring.
+TEST(ShmTransport, CountersExactUnderConcurrentSenders) {
+  constexpr int kSenders = 3;
+  constexpr int kPerSender = 5000;
+  constexpr int kTotal = kSenders * kPerSender;
+  shm::ShmTransport t(kSenders + 1, 1, 16, /*slot_bytes=*/64);
+  std::vector<std::thread> senders;
+  for (int src = 1; src <= kSenders; ++src) {
+    senders.emplace_back([&t, src] {
+      const std::uint8_t payload[32] = {};
+      RecordingSink own;  // completions of this sender's parked sends
+      for (int i = 0; i < kPerSender; ++i) {
+        const Msg m = make_msg(src, 0, i);
+        t.send_eager(m.h, base::as_bytes(payload, sizeof(payload)), 0);
+        t.poll(src, 0, own, nullptr);  // flush anything parked
+      }
+      while (!t.idle(src, 0)) t.poll(src, 0, own, nullptr);
+    });
+  }
+  RecordingSink sink;
+  while (sink.msgs.size() < static_cast<std::size_t>(kTotal)) {
+    t.poll(0, 0, sink, nullptr);
+  }
+  for (auto& th : senders) th.join();
+  const shm::ShmStats st = t.stats();
+  EXPECT_EQ(st.sends, static_cast<std::uint64_t>(kTotal));
+  EXPECT_EQ(st.delivered, static_cast<std::uint64_t>(kTotal));
+  EXPECT_EQ(st.inline_payload_hits, static_cast<std::uint64_t>(kTotal));
+  const transport::TransportStats ts = t.transport_stats();
+  EXPECT_EQ(ts.sends, st.sends);
+  EXPECT_EQ(ts.delivered, st.delivered);
+  EXPECT_EQ(ts.backlogged, st.ring_full_events);
 }
 
 TEST(ShmTransport, DeliverBatchCapsCellsPerPoll) {
@@ -304,6 +377,43 @@ TEST(Nic, SenderCompletionQueue) {
   nic.poll(0, 0, sink, nullptr);
   EXPECT_EQ(sink.completions, (std::vector<std::uint64_t>{123}));
   EXPECT_EQ(nic.stats().cq_events, 1u);
+}
+
+TEST(Nic, CountersExactUnderConcurrentSenders) {
+  constexpr int kSenders = 3;
+  constexpr int kPerSender = 2000;
+  constexpr int kTotal = kSenders * kPerSender;
+  base::SteadyClock clock;
+  net::CostModel m;
+  net::Nic nic(kSenders + 1, 1, m, clock);
+  std::vector<std::thread> senders;
+  for (int src = 1; src <= kSenders; ++src) {
+    senders.emplace_back([&nic, src] {
+      RecordingSink own;  // this sender's injection completions
+      for (int i = 0; i < kPerSender; ++i) {
+        nic.inject(make_msg(src, 0, i, 64),
+                   /*cookie=*/static_cast<std::uint64_t>(i + 1));
+        nic.poll(src, 0, own, nullptr);
+      }
+      while (own.completions.size() < static_cast<std::size_t>(kPerSender)) {
+        nic.poll(src, 0, own, nullptr);
+      }
+    });
+  }
+  RecordingSink sink;
+  while (sink.msgs.size() < static_cast<std::size_t>(kTotal)) {
+    nic.poll(0, 0, sink, nullptr);
+  }
+  for (auto& th : senders) th.join();
+  const net::NicStats st = nic.stats();
+  EXPECT_EQ(st.injected, static_cast<std::uint64_t>(kTotal));
+  EXPECT_EQ(st.delivered, static_cast<std::uint64_t>(kTotal));
+  EXPECT_EQ(st.cq_events, static_cast<std::uint64_t>(kTotal));
+  const transport::TransportStats ts = nic.transport_stats();
+  EXPECT_EQ(ts.sends, st.injected);
+  EXPECT_EQ(ts.delivered, st.delivered);
+  EXPECT_EQ(ts.completions, st.cq_events);
+  for (int r = 0; r <= kSenders; ++r) EXPECT_TRUE(nic.idle(r, 0));
 }
 
 TEST(Nic, CrossChannelsDoNotBlockEachOther) {

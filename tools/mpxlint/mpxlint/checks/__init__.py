@@ -38,12 +38,13 @@ class CheckContext:
 
 def all_checks():
     from . import (lock_rank, mc_coverage, memory_order, progress_contract,
-                   tsa_ratchet)
+                   shared_counter, tsa_ratchet)
     return {
         lock_rank.CHECK_ID: lock_rank.run,
         mc_coverage.CHECK_ID: mc_coverage.run,
         memory_order.CHECK_ID: memory_order.run,
         progress_contract.CHECK_ID: progress_contract.run,
+        shared_counter.CHECK_ID: shared_counter.run,
         tsa_ratchet.CHECK_ID: tsa_ratchet.run,
     }
 

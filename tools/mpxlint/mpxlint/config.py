@@ -79,6 +79,20 @@ MODELED_FILES = (
     "tools/mpxlint/fixtures/topology_swap_in_poll.cpp",
 )
 
+# shared-counter: the point-to-point datapath. Every message runs through
+# these files, so an RMW on a process-wide (namespace-scope or static)
+# atomic here writes a cache line that every VCI's thread shares.
+DATAPATH_FILES = (
+    "src/core/protocol.cpp",
+    "src/core/progress.cpp",
+    "src/core/request.cpp",
+    "src/shm/",
+    "src/net/",
+    "src/base/pool.cpp",
+    "include/mpx/core/detail/request_impl.hpp",
+    "tools/mpxlint/fixtures/shared_counter.cpp",
+)
+
 # progress-contract: names that block (or re-enter the progress engine).
 # Exact function-name matches on the call graph reachable from
 # ProgressSource::poll / idle implementations.

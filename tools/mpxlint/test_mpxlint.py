@@ -149,6 +149,21 @@ class FixtureTests(unittest.TestCase):
                             for f in hits),
                         f"missed the transitive control-plane call: {report}")
 
+    def test_shared_counter_on_datapath_caught(self):
+        # RMWs on process-wide atomics in a datapath file: the namespace-
+        # scope counter, the function-local static and the static accessor
+        # idiom fire; member, thread_local, load-only and annotated
+        # counters do not.
+        code, report = run_lint("--check", "shared-counter",
+                                self.fixture("shared_counter.cpp"))
+        self.assertEqual(code, 1)
+        keys = sorted(f["key"].rsplit(":", 1)[1]
+                      for f in findings_of(report, "shared-counter"))
+        self.assertEqual(keys, ["g_sends.fetch_add", "last.exchange",
+                                "live_count().fetch_add",
+                                "live_count().fetch_sub"],
+                         f"unexpected shared-counter findings: {report}")
+
     def test_unannotated_guarded_field_caught(self):
         code, report = run_lint("--check", "tsa-ratchet",
                                 self.fixture("unannotated_guarded.cpp"))
