@@ -3,6 +3,7 @@
 // the async pack engine, and the reduction operator table.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <random>
@@ -122,8 +123,13 @@ TEST(Datatype, InvalidUsageThrows) {
 
 // --- property-style round trips across constructors and chunk sizes ---
 
+// All 24 bytes are members, so gtest's byte dump of GetParam() (part of the
+// ctest test name) never shows uninitialised padding.
 struct RoundTripParam {
+  RoundTripParam(int k, std::size_t n, std::size_t c)
+      : kind(k), count(n), chunk(c) {}
   int kind;          // 0=contig 1=vector 2=indexed 3=struct-like
+  std::int32_t pad = 0;
   std::size_t count;
   std::size_t chunk;  // segment step size in bytes (0 = one shot)
 };
