@@ -17,10 +17,12 @@
 //               application drives all progress itself, so the LMT copies
 //               serialize after the compute phase (Fig. 4c shape).
 //   dedicated — one static ProgressThread per rank, the classic always-on
-//               async-progress thread. Yield backoff: on an oversubscribed
-//               core a busy-spinning helper hogs whole scheduler timeslices
-//               and starves the ranks themselves (measured 2x worse than
-//               inline here), so yield is the honest static baseline.
+//               async-progress thread. Idle polls descend the same
+//               MPX_WAIT_* spin/yield/sleep ladder as the engine's threads:
+//               on an oversubscribed core a helper that never backs off
+//               hogs whole scheduler timeslices and starves the ranks
+//               themselves, so both strategies idle the same way and differ
+//               only in who decides when a helper runs.
 //   adaptive  — task::ProgressEngine attached to both ranks' streams; the
 //               controller promotes/demotes online.
 //
@@ -108,17 +110,17 @@ WorldConfig overlap_config() {
   // progress engine can overlap with compute.
   cfg.shm_lmt_chunk = 128 * 1024;
   // Reactive controller so the promotion ramp amortizes even in smoke
-  // runs; everything else stays at MPX_ENGINE_* defaults.
+  // runs; MPX_ENGINE_MAX_WORKERS stays at its default.
   cfg.progress_engine.epoch_us = 200;
   // Dedicate eagerly (MPX_ENGINE_DEDICATE_RATE): epoch hit rates here top
   // out around 0.1-0.3 because polls during the compute gap come up empty,
-  // so the default 0.5 would never pin a worker to the hot VCI. Once
-  // pinned, the worker polls it back-to-back exactly like the static
+  // so the default 0.5 would never give the hot VCI its own helper. Once
+  // dedicated, the VCI is polled by the same ProgressThread as the static
   // dedicated baseline -- rotation overhead only during ramp-up.
   cfg.progress_engine.dedicate_hit_rate = 0.05;
   // Tighter sleep rung (MPX_WAIT_SLEEP_MAX): caps the reaction latency of
-  // idle engine workers (and of every blocking wait) at 16us instead of
-  // the 64us default. Applied to all three variants alike.
+  // idle helpers and engine threads (and of every blocking wait) at 16us
+  // instead of the 64us default. Applied to all three variants alike.
   cfg.wait_sleep_max_us = 16;
   return cfg;
 }
@@ -155,10 +157,10 @@ double run_halo(Strategy strat, int iters, int compute_us,
     eng->attach(w->null_stream(0));
     eng->attach(w->null_stream(1));
   } else if (strat == Strategy::dedicated) {
-    helpers.push_back(std::make_unique<task::ProgressThread>(
-        w->null_stream(0), task::ProgressBackoff::yield));
-    helpers.push_back(std::make_unique<task::ProgressThread>(
-        w->null_stream(1), task::ProgressBackoff::yield));
+    helpers.push_back(
+        std::make_unique<task::ProgressThread>(w->null_stream(0)));
+    helpers.push_back(
+        std::make_unique<task::ProgressThread>(w->null_stream(1)));
   }
 
   StartGate gate;
@@ -219,10 +221,10 @@ double run_pipeline(Strategy strat, int rounds, int compute_us, int chunks,
     eng->attach(w->null_stream(0));
     eng->attach(w->null_stream(1));
   } else if (strat == Strategy::dedicated) {
-    helpers.push_back(std::make_unique<task::ProgressThread>(
-        w->null_stream(0), task::ProgressBackoff::yield));
-    helpers.push_back(std::make_unique<task::ProgressThread>(
-        w->null_stream(1), task::ProgressBackoff::yield));
+    helpers.push_back(
+        std::make_unique<task::ProgressThread>(w->null_stream(0)));
+    helpers.push_back(
+        std::make_unique<task::ProgressThread>(w->null_stream(1)));
   }
 
   StartGate gate;

@@ -23,11 +23,12 @@ int main(int argc, char** argv) {
   auto disk = std::make_shared<mpx::io::SimDisk>(*world);
 
   // Checkpoints live on their own stream; a helper thread progresses it.
+  // Between checkpoints its polls come up empty and it parks on the sleep
+  // rung of the MPX_WAIT_* ladder instead of burning a core.
   mpx::Stream ckpt_stream = world->stream_create(0);
   mpx::io::File ckpt =
       mpx::io::File::open(disk, "state.ckpt", ckpt_stream);
-  mpx::task::ProgressThread helper(ckpt_stream,
-                                   mpx::task::ProgressBackoff::sleep);
+  mpx::task::ProgressThread helper(ckpt_stream);
 
   std::vector<double> state(1 << 16);
   std::iota(state.begin(), state.end(), 0.0);

@@ -48,8 +48,9 @@ void rank_body(mpx::World& world, int rank, int cells, int iters,
                                 right, 0));
   halo.push_back(comm.send_init(&u[1], 1, dt, left, 1));
 
-  // Background progress for the halo stream while we compute.
-  mpx::task::ProgressThread helper(stream, mpx::task::ProgressBackoff::yield);
+  // Background progress for the halo stream while we compute. Empty polls
+  // back off through the MPX_WAIT_* spin/yield/sleep ladder.
+  mpx::task::ProgressThread helper(stream);
 
   double residual = 0.0;
   for (int it = 0; it < iters; ++it) {

@@ -31,37 +31,16 @@ struct ProgressEngineConfig {
   /// CVAR: MPX_ENGINE_EPOCH_US.
   int epoch_us = 500;
 
-  /// Ceiling on engine-owned threads polling VCIs (shared pool workers +
-  /// dedicated workers; the controller itself is not counted). Promotions
-  /// that would exceed it are deferred, not dropped. CVAR:
+  /// Ceiling on engine-owned threads polling VCIs: shared pool workers
+  /// plus live dedicated helpers (the controller itself is not counted).
+  /// Promotions that would exceed it are deferred, not dropped. CVAR:
   /// MPX_ENGINE_MAX_WORKERS.
   int max_workers = 2;
-
-  /// Promote inline -> shared when a VCI has work pending but the
-  /// application issued fewer than this many progress calls during the
-  /// epoch (the app is not driving its own progress). CVAR:
-  /// MPX_ENGINE_PROMOTE_POLLS.
-  int promote_app_polls = 4;
 
   /// Promote shared -> dedicated when the engine's own polls on the VCI
   /// hit (made progress) at or above this rate over the epoch. CVAR:
   /// MPX_ENGINE_DEDICATE_RATE.
   double dedicate_hit_rate = 0.5;
-
-  /// Demote one step (dedicated -> shared -> inline) when the VCI had no
-  /// pending work and the engine hit rate fell to or below this. CVAR:
-  /// MPX_ENGINE_DEMOTE_RATE.
-  double demote_hit_rate = 0.01;
-
-  /// Consecutive epochs a promote/demote signal must persist before the
-  /// transition is taken (flap damping at the thresholds). CVAR:
-  /// MPX_ENGINE_HYSTERESIS.
-  int hysteresis = 2;
-
-  /// Capacity of each shared worker's work-stealing deque of VCI
-  /// assignments (rounded up to a power of two). CVAR:
-  /// MPX_ENGINE_DEQUE_CAP.
-  int deque_capacity = 64;
 };
 
 /// Configuration for a World (one simulated MPI job).
@@ -97,8 +76,10 @@ struct WorldConfig {
   /// MPX_WAIT_SPIN, MPX_WAIT_YIELD, MPX_WAIT_SLEEP_MAX.
   int wait_spin = 200;
   int wait_yield = 32;
-  /// Sleep-rung cap in microseconds, shared by the wait ladder and the
-  /// task-layer progress helper threads (one knob for every idle sleeper).
+  /// Sleep-rung cap in microseconds. The whole ladder also paces every idle
+  /// task-layer progress thread (task::ProgressThread, the adaptive
+  /// engine's workers and dedicated helpers), so these three knobs govern
+  /// every idle poller in the process.
   int wait_sleep_max_us = 64;
 
   /// Adaptive progress engine tuning (task::ProgressEngine reads this

@@ -102,7 +102,10 @@ class ProgressSource {
 
 /// One compiled stage table entry. The source/mask halves are fixed at
 /// make_vci; the counters are owned by the VCI and mutate under its lock.
-struct ProgressStage {
+/// Cache-line aligned: each VCI's pollers bump these counters on every
+/// progress call, so a stage table must not share a line with another
+/// rank's heap data.
+struct alignas(64) ProgressStage {
   ProgressSource* source = nullptr;
   unsigned mask = 0;
   /// ProgressSource::has_idle_check(), sampled at compile(): false lets the

@@ -13,9 +13,12 @@
 // exponential sleeps capped at `sleep_max_us`. Any productive progress round
 // resets the ladder to the spin phase.
 //
+// The same ladder paces every idle progress thread: task::ProgressThread and
+// the adaptive engine's shared workers pause() on it after each empty poll.
+//
 // Rung occupancy counters (WaitLadderCounters): every pause() increments the
 // counter of the rung it lands on. Wired per VCI (request.cpp passes the
-// request's VCI counters) and per engine worker (task::ProgressEngine), they
+// request's VCI counters), per engine worker and per ProgressThread, they
 // answer "who is burning a core waiting on this endpoint" — the signal the
 // adaptive progress engine's controller promotes/demotes on, and the
 // evidence that an idle helper thread actually reached the sleep rung
@@ -35,8 +38,9 @@ namespace mpx::core_detail {
 /// MPX_WAIT_SPIN / MPX_WAIT_YIELD / MPX_WAIT_SLEEP_MAX). Negative spin:
 /// spin forever (never yield or sleep — the paper's original full-rate
 /// loop). Negative yield: never sleep. sleep_max_us caps the exponential
-/// sleep rung; it is shared with task::ProgressThread's sleep backoff so
-/// one cvar governs every idle sleeper in the process.
+/// sleep rung. Blocking waits and the task-layer progress threads read the
+/// same World settings, so one set of cvars governs every idle poller in
+/// the process.
 struct WaitPolicy {
   int spin = 200;
   int yield = 32;
@@ -67,9 +71,9 @@ struct WaitLadderCounters {
   }
 };
 
-/// Exponential-sleep helper shared by the wait ladder and the progress
-/// helper threads: empty round `idx` (0-based, counting from the first
-/// sleeping round) sleeps 1us << idx capped at `max_us`.
+/// Exponential-sleep length of the ladder's sleep rung: empty round `idx`
+/// (0-based, counting from the first sleeping round) sleeps 1us << idx
+/// capped at `max_us`.
 inline std::int64_t backoff_sleep_us(long idx, int max_us) {
   const unsigned shift = idx < 0 ? 0U : (idx < 16 ? static_cast<unsigned>(idx)
                                                   : 16U);

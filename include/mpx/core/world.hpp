@@ -139,9 +139,11 @@ class World : public std::enable_shared_from_this<World> {
   };
   WaitRungCounters vci_wait_rungs(int rank, int vci) const;
 
-  /// In-flight p2p/coll request count of (rank, vci) — the "is there work
-  /// pending on this endpoint" signal (lock-free relaxed read).
-  std::int64_t vci_active_ops(int rank, int vci) const;
+  /// Pending work on (rank, vci): in-flight p2p/coll requests plus linked
+  /// (or mailboxed) async and collective hooks — the "is there work pending
+  /// on this endpoint" signal the adaptive progress engine samples
+  /// (lock-free relaxed reads).
+  std::int64_t vci_pending(int rank, int vci) const;
 
   /// Matching-engine depths of (rank, vci): pending posted receives and
   /// parked unexpected messages (test/bench observability; takes the VCI

@@ -14,24 +14,29 @@
 //               multiplexes several lukewarm VCIs via a work-stealing
 //               deque (steal_deque.hpp), so an imbalanced pool rebalances
 //               without the controller in the loop.
-//   dedicated — one worker pins to this single hot VCI (the classic
-//               async-progress-thread shape, paid only while it earns).
+//   dedicated — the engine owns a task::ProgressThread serving this single
+//               hot VCI (the classic async-progress-thread shape, paid only
+//               while it earns). Started on promotion, stopped on demotion.
+//
+// Shared workers never change role; a dedicated VCI gets its own helper.
+// MPX_ENGINE_MAX_WORKERS caps shared workers plus live dedicated helpers.
 //
 // A controller thread ticks every MPX_ENGINE_EPOCH_US and samples, per
 // attached VCI: application progress calls (total progress_calls minus the
-// engine's own polls), pending work (active_ops), the engine's own
-// poll/hit rate, and the wait-ladder rung occupancy from wait_policy.hpp
-// (waiters that fell off the spin rung are making empty polls — background
-// progress cuts their latency). Transitions take MPX_ENGINE_HYSTERESIS
-// consecutive epochs of the same signal, so the controller never flaps at
-// a threshold; promotions that would exceed MPX_ENGINE_MAX_WORKERS are
-// deferred, not dropped. The decision rules live in EnginePolicy, pure and
-// deterministic, so tests drive them with injected samples.
+// engine's own polls), pending work (in-flight requests plus async hooks),
+// the engine's own poll/hit rate, and the wait-ladder rung occupancy from
+// wait_policy.hpp (waiters that fell off the spin rung are making empty
+// polls — background progress cuts their latency). Transitions take
+// EnginePolicy::kHysteresis consecutive epochs of the same signal, so the
+// controller never flaps at a threshold; promotions that would exceed the
+// worker ceiling are deferred, not dropped. The decision rules live in
+// EnginePolicy, pure and deterministic, so tests drive them with injected
+// samples.
 //
-// Workers call core_detail::vci_poll on the resolved Vci — the same
+// Shared workers call core_detail::vci_poll on the resolved Vci — the same
 // compiled stage table every progress_test scan runs, no new virtual hops
-// on the poll path — and back off through the shared spin/yield/sleep
-// ladder when idle, charging engine-owned WaitLadderCounters: an idle
+// on the poll path — and every engine thread backs off through the shared
+// spin/yield/sleep ladder when idle, charging WaitLadderCounters: an idle
 // engine provably parks on the sleep rung instead of burning a core
 // (stats().worker_rungs is the evidence the overlap bench checks in).
 #pragma once
@@ -56,7 +61,7 @@ namespace mpx::task {
 enum class EngineMode : std::uint8_t {
   inline_poll = 0,  ///< application threads poll; engine hands off
   shared = 1,       ///< absorbed into a pooled worker's steal rotation
-  dedicated = 2,    ///< one worker pinned to this VCI alone
+  dedicated = 2,    ///< an engine-owned ProgressThread serves this VCI alone
 };
 
 /// One epoch's observations for one VCI, as the controller samples them
@@ -67,7 +72,8 @@ struct EngineSample {
   /// Engine polls on the VCI this epoch, and how many made progress.
   std::uint64_t engine_polls = 0;
   std::uint64_t engine_hits = 0;
-  /// In-flight requests on the VCI at sample time (is work pending?).
+  /// In-flight requests plus linked async/collective hooks on the VCI at
+  /// sample time (is work pending?).
   std::int64_t pending = 0;
   /// Wait-ladder pauses by blocking waiters on this VCI this epoch that
   /// landed past the spin rung (yield + sleep): polls happening, but
@@ -82,7 +88,18 @@ struct EngineSample {
 /// history, and arguments.
 class EnginePolicy {
  public:
-  explicit EnginePolicy(const ProgressEngineConfig& cfg) : cfg_(cfg) {}
+  /// A VCI with work pending whose application issued fewer progress calls
+  /// than this in an epoch is starved (the app is not driving it).
+  static constexpr std::uint64_t kPromoteAppPolls = 4;
+  /// An idle VCI (nothing pending) whose engine hit rate fell to or below
+  /// this walks one step down the mode ladder.
+  static constexpr double kDemoteHitRate = 0.01;
+  /// Consecutive epochs a promote/demote signal must persist before the
+  /// transition is taken (flap damping at the thresholds).
+  static constexpr int kHysteresis = 2;
+
+  explicit EnginePolicy(const ProgressEngineConfig& cfg)
+      : dedicate_hit_rate_(cfg.dedicate_hit_rate) {}
 
   /// One epoch's decision. `can_grow` reports whether the worker budget
   /// admits the promotion the policy may want this epoch (controller
@@ -91,23 +108,26 @@ class EnginePolicy {
   EngineMode decide(EngineMode current, const EngineSample& s, bool can_grow);
 
  private:
-  ProgressEngineConfig cfg_;
+  double dedicate_hit_rate_;
   int promote_streak_ = 0;
   int demote_streak_ = 0;
 };
 
 /// The engine runtime. RAII: the controller thread starts on construction
-/// (workers start lazily on first promotion) and everything stops and
-/// joins in stop()/the destructor. Constructing a World never creates one
-/// of these — the engine is opt-in, owned by the application or benchmark,
+/// (shared workers start lazily on first promotion, dedicated helpers on
+/// each promotion to dedicated) and everything stops and joins in
+/// stop()/the destructor. Constructing a World never creates one of these
+/// — the engine is opt-in, owned by the application or benchmark,
 /// configured through WorldConfig::progress_engine (MPX_ENGINE_* cvars).
 ///
-/// Threading contract: workers only ever call core_detail::vci_poll /
+/// Threading contract: engine threads only ever poll progress and descend
 /// the wait-ladder backoff — they block on nothing and acquire no
 /// vci/stream-ranked lock themselves (the poll takes the VCI lock
 /// internally, same as every application progress call). attach/detach/
-/// stats may be called from any thread; stop() is idempotent and safe to
-/// race with the destructor.
+/// stats may be called from any thread but not from inside a progress
+/// callback: the controller joins dedicated helpers while holding the
+/// engine's mutex, so a helper blocking on that mutex would deadlock.
+/// stop() is idempotent and safe to race with the destructor.
 class ProgressEngine {
  public:
   explicit ProgressEngine(World& world);
@@ -143,9 +163,12 @@ class ProgressEngine {
     std::uint64_t promotions = 0;  ///< inline->shared + shared->dedicated
     std::uint64_t demotions = 0;   ///< dedicated->shared + shared->inline
     std::uint64_t steals = 0;      ///< successful cross-worker deque steals
-    int workers = 0;               ///< worker threads spawned so far
-    /// Aggregate worker idle-backoff rung occupancy (monotonic). A parked
-    /// engine accumulates `sleep` — the not-burning-a-core evidence.
+    /// Polling threads alive now: shared workers plus dedicated helpers
+    /// (never more than MPX_ENGINE_MAX_WORKERS).
+    int workers = 0;
+    /// Aggregate idle-backoff rung occupancy of every shared worker and
+    /// dedicated helper, past and present (monotonic). A parked engine
+    /// accumulates `sleep` — the not-burning-a-core evidence.
     core_detail::WaitLadderCounters::Snapshot worker_rungs;
   };
   Stats stats() const;
@@ -159,8 +182,10 @@ class ProgressEngine {
   void sample_and_decide();
   void apply_transition(int idx, Slot& s, EngineMode next);
   int poll_slot(Slot& s);
-  bool assign_to_worker(int slot_idx);
-  int spawn_worker_locked();
+  void assign_to_worker(int slot_idx);
+  void spawn_worker_locked();
+  void retire_helper(Slot& s);
+  int live_threads() const;
 
   World& world_;
   ProgressEngineConfig cfg_;
@@ -175,10 +200,12 @@ class ProgressEngine {
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<int> worker_count_{0};
+  int helpers_ = 0;  ///< live dedicated helpers (attach_mu_)
+  /// Rungs of dedicated helpers already stopped (attach_mu_).
+  core_detail::WaitLadderCounters::Snapshot retired_rungs_;
 
   std::atomic<bool> stop_{false};
-  std::atomic<bool> joining_{false};
-  std::atomic<bool> joined_{false};
+  std::once_flag join_once_;
 
   std::atomic<std::uint64_t> epochs_{0};
   std::atomic<std::uint64_t> promotions_{0};

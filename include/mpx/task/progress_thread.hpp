@@ -4,25 +4,24 @@
 // (§5.1): instead of an implementation-global async-progress thread that
 // contends with every MPI call under MPI_THREAD_MULTIPLE, the application
 // spins progress on exactly the stream(s) that need it, where it knows by
-// design that background progress is required. An optional backoff puts the
-// thread to sleep when progress is idle (the MVAPICH-style tuning the paper
-// cites).
+// design that background progress is required. When progress is idle the
+// thread descends the same spin/yield/sleep ladder as every blocking wait
+// (wait_policy.hpp, MPX_WAIT_*), so an idle helper parks on the sleep rung
+// instead of burning a core (the MVAPICH-style tuning the paper cites).
+//
+// This is also the adaptive engine's dedicated poller: task::ProgressEngine
+// starts one per VCI it promotes to dedicated mode and stops it on demotion.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 
 #include "mpx/base/thread.hpp"
 #include "mpx/core/stream.hpp"
+#include "mpx/core/wait_policy.hpp"
 
 namespace mpx::task {
-
-/// Backoff policy for the helper thread when progress reports nothing.
-enum class ProgressBackoff {
-  busy,   ///< spin flat out (lowest latency, burns a core)
-  yield,  ///< sched_yield between idle polls
-  sleep,  ///< exponential sleep when idle, capped at MPX_WAIT_SLEEP_MAX
-};
 
 /// RAII progress thread for one stream. Starts on construction, stops and
 /// joins on destruction.
@@ -32,14 +31,14 @@ enum class ProgressBackoff {
 /// locks (rank transport*) — the same order every application thread uses,
 /// so adding a helper thread can never introduce a lock-order cycle. All
 /// members it shares with the owner (stop_, counters) are atomics; stop()
-/// is safe to call from any thread, idempotent, and safe to race with the
-/// destructor (exactly one caller joins; the rest wait for the join), and
-/// its return fences the worker's final counter publish — iterations()/
-/// productive() read after stop() see the thread's last poll.
+/// is safe to call from any thread other than the helper itself, idempotent,
+/// and safe to race with the destructor (exactly one caller joins, the rest
+/// block until the join is done), and its return fences the thread's final
+/// counter publish — iterations()/productive()/rungs() read after stop()
+/// see the thread's last poll.
 class ProgressThread {
  public:
-  explicit ProgressThread(Stream stream,
-                          ProgressBackoff backoff = ProgressBackoff::busy);
+  explicit ProgressThread(Stream stream);
   ~ProgressThread();
 
   ProgressThread(const ProgressThread&) = delete;
@@ -56,29 +55,22 @@ class ProgressThread {
   std::uint64_t productive() const {
     return productive_.load(std::memory_order_relaxed);
   }
-
-  /// Windowed counter deltas since the previous sample_window() call (the
-  /// first call is the delta since construction). Epoch-based controllers
-  /// need rates over their own sampling window, not lifetime totals whose
-  /// early history drowns out behavior changes. Call from one sampling
-  /// thread at a time (the window cursor is not itself synchronized).
-  struct Window {
-    std::uint64_t iterations = 0;
-    std::uint64_t productive = 0;
-  };
-  Window sample_window();
+  /// Idle-backoff rung occupancy of this thread (monotonic): how many empty
+  /// polls were followed by a spin, a yield or a sleep.
+  core_detail::WaitLadderCounters::Snapshot rungs() const {
+    return rungs_.snapshot();
+  }
 
  private:
   void run();
 
   Stream stream_;
-  ProgressBackoff backoff_;
+  core_detail::WaitPolicy wait_;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> iterations_{0};
   std::atomic<std::uint64_t> productive_{0};
-  Window last_window_;  ///< sampling cursor (sampler-thread-only state)
-  std::atomic<bool> joining_{false};
-  std::atomic<bool> joined_{false};
+  core_detail::WaitLadderCounters rungs_;
+  std::once_flag join_once_;
   base::ScopedThread thread_;
 };
 

@@ -133,8 +133,10 @@ World::WaitRungCounters World::vci_wait_rungs(int rank, int vci_id) const {
   return WaitRungCounters{s.spin, s.yield, s.sleep};
 }
 
-std::int64_t World::vci_active_ops(int rank, int vci_id) const {
-  return vci_ptr(rank, vci_id)->active_ops.load(std::memory_order_relaxed);
+std::int64_t World::vci_pending(int rank, int vci_id) const {
+  const Vci& v = *vci_ptr(rank, vci_id);
+  return v.active_ops.load(std::memory_order_relaxed) +
+         v.hook_count.load(std::memory_order_relaxed);
 }
 
 World::MatchCounters World::vci_match_counters(int rank, int vci_id) const {

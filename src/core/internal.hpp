@@ -101,7 +101,12 @@ struct ParkedSend {
 /// Immutable after construction (set before the VCI is published): id,
 /// rank, world, default_mask, sink. Everything mutable is either guarded by
 /// `mu` or atomic.
-struct Vci {
+///
+/// Cache-line aligned: every rank's thread writes its own VCI on every
+/// message, and VCIs are allocated back to back, so without the alignment
+/// two ranks' VCIs could share a line depending on where the heap placed
+/// them.
+struct alignas(64) Vci {
   ~Vci() MPX_NO_THREAD_SAFETY_ANALYSIS;  // teardown is single-threaded
 
   int id = 0;              // mpxlint: allow(tsa-ratchet) immutable after publish
@@ -243,7 +248,10 @@ class Coordinator {
 };
 
 /// Shared communicator state. Comm handles are per-rank views of this.
-struct CommImpl {
+/// Cache-line aligned so the make_shared block, whose reference count every
+/// receive writes, does not share a line with a neighbouring rank's
+/// allocations.
+struct alignas(64) CommImpl {
   ~CommImpl();
 
   // Everything below except coll_clone is frozen by the end of comm

@@ -53,16 +53,8 @@ WorldConfig WorldConfig::from_env(int nranks) {
       static_cast<int>(b::cvar_int("MPX_ENGINE_EPOCH_US", 500));
   c.progress_engine.max_workers =
       static_cast<int>(b::cvar_int("MPX_ENGINE_MAX_WORKERS", 2));
-  c.progress_engine.promote_app_polls =
-      static_cast<int>(b::cvar_int("MPX_ENGINE_PROMOTE_POLLS", 4));
   c.progress_engine.dedicate_hit_rate =
       b::cvar_double("MPX_ENGINE_DEDICATE_RATE", 0.5);
-  c.progress_engine.demote_hit_rate =
-      b::cvar_double("MPX_ENGINE_DEMOTE_RATE", 0.01);
-  c.progress_engine.hysteresis =
-      static_cast<int>(b::cvar_int("MPX_ENGINE_HYSTERESIS", 2));
-  c.progress_engine.deque_capacity =
-      static_cast<int>(b::cvar_int("MPX_ENGINE_DEQUE_CAP", 64));
   return c;
 }
 

@@ -178,8 +178,7 @@ TEST(Integration, ProgressThreadDrivesEverythingUnattended) {
   cfg.shm_eager_max = 64;  // rendezvous => progress genuinely required
   auto w = World::create(cfg);
   mpx_test::run_ranks(*w, [&](int rank) {
-    task::ProgressThread helper(w->null_stream(rank),
-                                task::ProgressBackoff::yield);
+    task::ProgressThread helper(w->null_stream(rank));
     Comm c = w->comm_world(rank);
     std::vector<double> data(2048, rank + 0.5);
     std::vector<double> in(2048, 0.0);

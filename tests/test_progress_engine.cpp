@@ -4,13 +4,16 @@
 // epoch samples and prove the mode transitions, the hysteresis damping at
 // thresholds, deferred promotion under the worker ceiling, and the
 // wait-ladder starvation signal. The runtime half is exercised end to end
-// on a real World (promote while the application computes, demote and park
-// on the sleep rung when the workload goes idle), with generous deadlines
-// so scheduling noise cannot flake the assertions. The ProgressThread
-// satellite fixes ride along: concurrent stop()/destructor and windowed
-// counter sampling.
+// on a real World (promote while the application computes, drive a VCI
+// whose only work is an async hook, hold the worker ceiling across shared
+// workers and dedicated helpers, demote and park on the sleep rung when the
+// workload goes idle), with generous deadlines so scheduling noise cannot
+// flake the assertions. ProgressThread's concurrent stop()/destructor race
+// rides along: it is the engine's dedicated poller.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <thread>
@@ -29,10 +32,7 @@ namespace {
 
 ProgressEngineConfig policy_cfg() {
   ProgressEngineConfig cfg;
-  cfg.hysteresis = 2;
-  cfg.promote_app_polls = 4;
   cfg.dedicate_hit_rate = 0.5;
-  cfg.demote_hit_rate = 0.01;
   return cfg;
 }
 
@@ -72,6 +72,20 @@ bool wait_until(const std::function<bool()>& pred,
   }
   return pred();
 }
+
+/// A hook that completes on every poll and respawns itself until told to
+/// stop: every poll of its VCI makes progress (a hot VCI) and a hook is
+/// always pending, so an application that never polls stays starved.
+struct Relay {
+  std::atomic<bool> stop{false};
+  static AsyncResult poll(AsyncThing& t) {
+    auto* r = static_cast<Relay*>(t.state());
+    if (!r->stop.load(std::memory_order_acquire)) {
+      t.spawn(&Relay::poll, r, t.stream());
+    }
+    return AsyncResult::done;
+  }
+};
 
 }  // namespace
 
@@ -168,7 +182,6 @@ TEST(EnginePolicyTest, CeilingDefersPromotionWithoutDroppingIt) {
 TEST(ProgressEngineTest, PromotesWhileApplicationComputes) {
   WorldConfig cfg{.nranks = 2};
   cfg.progress_engine.epoch_us = 200;
-  cfg.progress_engine.hysteresis = 1;
   auto w = World::create(cfg);
   task::ProgressEngine eng(*w);
   eng.attach(w->null_stream(0));
@@ -221,7 +234,6 @@ TEST(ProgressEngineTest, PromotesWhileApplicationComputes) {
 TEST(ProgressEngineTest, WorkerCeilingHolds) {
   WorldConfig cfg{.nranks = 1};
   cfg.progress_engine.epoch_us = 200;
-  cfg.progress_engine.hysteresis = 1;
   cfg.progress_engine.max_workers = 1;
   auto w = World::create(cfg);
   task::ProgressEngine eng(*w);
@@ -269,10 +281,104 @@ TEST(ProgressEngineTest, WorkerCeilingHolds) {
   w->finalize_rank(0);
 }
 
+TEST(ProgressEngineTest, DrivesHookOnlyWork) {
+  // Regression: pending work used to count requests only, so a VCI whose
+  // only work was an async hook looked idle and was never promoted; nobody
+  // polled it again.
+  WorldConfig cfg{.nranks = 1};
+  cfg.progress_engine.epoch_us = 200;
+  auto w = World::create(cfg);
+  task::ProgressEngine eng(*w);
+  Stream s = w->stream_create(0);
+  eng.attach(s);
+
+  // Finishes on its 100th poll. The test thread never polls.
+  std::atomic<int> polls{0};
+  async_start(
+      [&polls] {
+        return polls.fetch_add(1, std::memory_order_relaxed) + 1 >= 100
+                   ? AsyncResult::done
+                   : AsyncResult::pending;
+      },
+      s);
+  EXPECT_TRUE(wait_until([&] { return polls.load() >= 100; },
+                         std::chrono::seconds(5)))
+      << "hook polled " << polls.load() << " times";
+  EXPECT_TRUE(wait_until([&] { return w->vci_pending(0, s.vci()) == 0; },
+                         std::chrono::seconds(5)));
+
+  eng.stop();
+  w->stream_free(s);
+  w->finalize_rank(0);
+}
+
+TEST(ProgressEngineTest, WorkerBudgetCountsDedicatedHelpers) {
+  // max_workers caps shared workers plus dedicated helpers. Two starved,
+  // hot VCIs: one earns a dedicated helper, the ceiling holds the other in
+  // shared mode, and the shared worker keeps polling it.
+  WorldConfig cfg{.nranks = 1};
+  cfg.progress_engine.epoch_us = 200;
+  cfg.progress_engine.max_workers = 2;
+  auto w = World::create(cfg);
+  task::ProgressEngine eng(*w);
+  Stream streams[2] = {w->stream_create(0), w->stream_create(0)};
+  Relay relays[2];
+  for (int i = 0; i < 2; ++i) {
+    async_start(&Relay::poll, &relays[i], streams[i]);
+    eng.attach(streams[i]);
+  }
+
+  int max_workers_seen = 0;
+  const auto sample = [&] {
+    task::ProgressEngine::Stats st = eng.stats();
+    max_workers_seen = std::max(max_workers_seen, st.workers);
+    return st;
+  };
+  const auto polls_of = [&](const Stream& s) {
+    for (const auto& v : sample().vcis) {
+      if (v.vci == s.vci()) return v.engine_polls;
+    }
+    return std::uint64_t{0};
+  };
+
+  int ded = -1;
+  ASSERT_TRUE(wait_until(
+      [&] {
+        sample();
+        const EngineMode a = eng.mode_of(streams[0]);
+        const EngineMode b = eng.mode_of(streams[1]);
+        if (a == EngineMode::dedicated && b == EngineMode::shared) ded = 0;
+        if (b == EngineMode::dedicated && a == EngineMode::shared) ded = 1;
+        return ded >= 0;
+      },
+      std::chrono::seconds(20)))
+      << "never reached one dedicated + one shared VCI";
+  const Stream& shared = streams[1 - ded];
+  const Stream& dedicated = streams[ded];
+
+  const std::uint64_t before = polls_of(shared);
+  EXPECT_TRUE(wait_until([&] { return polls_of(shared) > before + 100; },
+                         std::chrono::seconds(20)))
+      << "the shared VCI lost its worker";
+  EXPECT_EQ(eng.mode_of(dedicated), EngineMode::dedicated);
+  EXPECT_EQ(eng.mode_of(shared), EngineMode::shared);
+  EXPECT_EQ(sample().workers, 2);
+  EXPECT_LE(max_workers_seen, 2);
+
+  eng.stop();
+  for (int i = 0; i < 2; ++i) {
+    relays[i].stop.store(true, std::memory_order_release);
+    while (w->vci_pending(0, streams[i].vci()) > 0) {
+      stream_progress(streams[i]);
+    }
+    w->stream_free(streams[i]);
+  }
+  w->finalize_rank(0);
+}
+
 TEST(ProgressEngineTest, DetachHandsProgressBack) {
   WorldConfig cfg{.nranks = 1};
   cfg.progress_engine.epoch_us = 200;
-  cfg.progress_engine.hysteresis = 1;
   auto w = World::create(cfg);
   task::ProgressEngine eng(*w);
   Stream s = w->null_stream(0);
@@ -293,8 +399,7 @@ TEST(ProgressThreadTest, ConcurrentStopAndDestroyIsSafe) {
   // race repeatedly with a live stream; TSan builds verify the handshake.
   for (int iter = 0; iter < 50; ++iter) {
     auto w = World::create(WorldConfig{.nranks = 1});
-    auto* pt = new task::ProgressThread(w->null_stream(0),
-                                        task::ProgressBackoff::yield);
+    auto* pt = new task::ProgressThread(w->null_stream(0));
     std::thread racer([&] { pt->stop(); });
     pt->stop();
     racer.join();
@@ -303,20 +408,4 @@ TEST(ProgressThreadTest, ConcurrentStopAndDestroyIsSafe) {
     EXPECT_GE(its, pt->productive());
     delete pt;  // third stop() via the destructor
   }
-}
-
-TEST(ProgressThreadTest, SampleWindowReturnsDeltas) {
-  auto w = World::create(WorldConfig{.nranks = 1});
-  task::ProgressThread pt(w->null_stream(0), task::ProgressBackoff::yield);
-  ASSERT_TRUE(wait_until([&] { return pt.iterations() > 0; },
-                         std::chrono::seconds(10)));
-  pt.stop();
-  // First sample covers everything since construction; after the thread
-  // stopped, the next window must be empty — windowed rates, not totals.
-  const auto w1 = pt.sample_window();
-  EXPECT_EQ(w1.iterations, pt.iterations());
-  EXPECT_EQ(w1.productive, pt.productive());
-  const auto w2 = pt.sample_window();
-  EXPECT_EQ(w2.iterations, 0u);
-  EXPECT_EQ(w2.productive, 0u);
 }

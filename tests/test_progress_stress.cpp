@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "mpx/base/thread.hpp"
@@ -81,9 +83,17 @@ TEST(ProgressStress, ManyThreadsOneVciWithCompletionPolls) {
       for (Request& s : sends) {
         while (!s.is_complete()) stream_progress(w->null_stream(0));
       }
-      // Completion of the last receive ends the test.
+      // Completion of the last receive ends the test, once the poller
+      // thread has had a chance to run: on a loaded host it may not have
+      // been scheduled yet.
       for (Request& r : recvs) {
         while (!r.is_complete()) stream_progress(w->null_stream(0));
+      }
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (polls.load(std::memory_order_relaxed) == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
       }
       stop.store(true, std::memory_order_release);
     });

@@ -212,8 +212,8 @@ TEST(ProgressThread, BackgroundProgressCompletesRendezvous) {
   Request rr = w->comm_world(1).irecv(out.data(), out.size(),
                                       dtype::Datatype::int64(), 0, 0);
   {
-    task::ProgressThread p0(w->null_stream(0), task::ProgressBackoff::yield);
-    task::ProgressThread p1(w->null_stream(1), task::ProgressBackoff::yield);
+    task::ProgressThread p0(w->null_stream(0));
+    task::ProgressThread p1(w->null_stream(1));
     // "Compute" while the helpers drive the rendezvous.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -230,11 +230,21 @@ TEST(ProgressThread, BackgroundProgressCompletesRendezvous) {
 
 TEST(ProgressThread, SleepBackoffIdlesCheaply) {
   auto w = World::create(WorldConfig{.nranks = 1});
-  task::ProgressThread pt(w->null_stream(0), task::ProgressBackoff::sleep);
+  task::ProgressThread pt(w->null_stream(0));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // On a loaded host the spin and yield rungs can outlast 50 ms; give the
+  // helper time to reach the sleep rung before judging its idle cost.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (pt.rungs().sleep == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   pt.stop();
-  // With exponential sleep the idle thread polls orders of magnitude less
-  // than a busy spinner would (~millions in 50 ms).
+  // An idle helper descends the MPX_WAIT_* ladder to its exponential sleep
+  // rung, so it polls orders of magnitude less than a busy spinner would
+  // (~millions in 50 ms).
   EXPECT_LT(pt.iterations(), 100000u);
   EXPECT_GT(pt.iterations(), 0u);
+  EXPECT_GT(pt.rungs().sleep, 0u);
 }

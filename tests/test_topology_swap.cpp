@@ -169,6 +169,9 @@ TEST(TopologySwap, StressBidirectionalTrafficWhileSwapping) {
     w->finalize_rank(rank);
   });
   done.store(true, std::memory_order_release);
+  // The last swap can still be running: its gate opens with rank 0's last
+  // send. Join before reading the epoch.
+  swapper.join();
 
   // 1 (construction) + 2 per completed swap, monotone.
   EXPECT_GE(w->topology_epoch(), 1u);

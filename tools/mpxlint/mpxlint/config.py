@@ -109,13 +109,16 @@ BLOCKING_CALL_NAMES = {
 
 # progress-contract: external progress-driver roots. These are thread loops
 # that drive progress from OUTSIDE a poll context (the adaptive engine's
-# workers), so calling a progress entry point is their whole job — the
+# shared workers, and ProgressThread — the stream-scoped helper that is
+# also the engine's dedicated poller), so calling a progress entry point
+# is their whole job — the
 # names in PROGRESS_ENTRY_CALL_NAMES are allowed boundaries for them — but
 # everything else about the contract still holds: no blocking waits, no
 # vci/stream-ranked lock acquisitions (vci_poll takes the VCI lock itself;
 # holding one across the call re-enters the engine).
 PROGRESS_DRIVER_ROOTS = {
     ("ProgressEngine", "worker_loop"),
+    ("ProgressThread", "run"),
 }
 PROGRESS_ENTRY_CALL_NAMES = {
     "vci_poll",

@@ -107,6 +107,16 @@ class FixtureTests(unittest.TestCase):
         self.assertTrue(any("rank vci" in f["message"] and
                             "lock_slot_vci" in f["message"] for f in hits),
                         f"missed the vci-ranked acquisition: {report}")
+        # ProgressThread::run is a driver root too: the blocking wait it
+        # reaches through settle() is caught, its bare stream_progress is
+        # not.
+        self.assertTrue(any("'wait'" in f["message"] and
+                            "ProgressThread::run" in f["message"] and
+                            "settle" in f["message"] for f in hits),
+                        f"missed the blocking wait in the helper: {report}")
+        self.assertFalse(any("stream_progress" in f["message"]
+                             for f in hits),
+                         f"flagged the helper's entry-point call: {report}")
         # The bare vci_poll in poll_one is the allowed boundary, not a
         # finding.
         self.assertFalse(any("poll_one" in f["message"] for f in hits),
