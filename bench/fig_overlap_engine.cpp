@@ -36,7 +36,7 @@
 // move the halos.
 //
 // After the adaptive workload the bench parks: the engine must demote
-// everything back to inline and its workers must reach the wait ladder's
+// everything back to inline and its pollers must reach the wait ladder's
 // sleep rung (idle_sleep_delta > 0 in the JSON) — adaptivity's other half
 // is NOT burning a core when the work disappears.
 #include <atomic>
@@ -132,7 +132,7 @@ struct EngineReport {
   std::uint64_t idle_sleep_delta = 0;
 };
 
-/// Post-workload idle check: everything demoted, workers asleep.
+/// Post-workload idle check: everything demoted, pollers asleep.
 EngineReport drain_and_park(task::ProgressEngine& eng) {
   EngineReport rep;
   const auto s1 = eng.stats();

@@ -31,7 +31,7 @@ struct ProgressEngineConfig {
   /// CVAR: MPX_ENGINE_EPOCH_US.
   int epoch_us = 500;
 
-  /// Ceiling on engine-owned threads polling VCIs: shared pool workers
+  /// Ceiling on engine-owned threads polling VCIs: the one shared poller
   /// plus live dedicated helpers (the controller itself is not counted).
   /// Promotions that would exceed it are deferred, not dropped. CVAR:
   /// MPX_ENGINE_MAX_WORKERS.

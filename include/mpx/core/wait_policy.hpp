@@ -13,8 +13,9 @@
 // exponential sleeps capped at `sleep_max_us`. Any productive progress round
 // resets the ladder to the spin phase.
 //
-// The same ladder paces every idle progress thread: task::ProgressThread and
-// the adaptive engine's shared workers pause() on it after each empty poll.
+// The same ladder paces every idle progress thread: task::ProgressThread —
+// which also runs the adaptive engine's shared and dedicated pollers —
+// pause()s on it after each empty poll.
 //
 // Rung occupancy counters (WaitLadderCounters): every pause() increments the
 // counter of the rung it lands on. Wired per VCI (request.cpp passes the

@@ -1,25 +1,26 @@
 // mpx/task/progress_engine.hpp
 //
-// Adaptive asynchronous progress engine (ROADMAP item 4): a pool of
-// progress workers that owns the per-VCI decision the paper leaves to the
-// application — who drives progress. "Asynchronous MPI for the Masses"
-// (Wittmann & Hager) shows the right answer is workload-dependent and
-// shifts at runtime: a dedicated helper thread wins when the application
-// computes through communication, and burns a core for nothing when the
-// application polls anyway. The engine samples what is actually happening
-// and moves each attached VCI between three modes:
+// Adaptive asynchronous progress engine (ROADMAP item 4): owns the per-VCI
+// decision the paper leaves to the application — who drives progress.
+// "Asynchronous MPI for the Masses" (Wittmann & Hager) shows the right
+// answer is workload-dependent and shifts at runtime: a dedicated helper
+// thread wins when the application computes through communication, and
+// burns a core for nothing when the application polls anyway. The engine
+// samples what is actually happening and moves each attached VCI between
+// three modes:
 //
 //   inline    — the application polls; the engine stays away entirely.
-//   shared    — the VCI rides in a pooled worker's rotation; the worker
-//               multiplexes several lukewarm VCIs via a work-stealing
-//               deque (steal_deque.hpp), so an imbalanced pool rebalances
-//               without the controller in the loop.
+//   shared    — the engine's one shared poller serves the VCI: a
+//               task::ProgressThread whose poll (poll_shared) polls the
+//               next shared VCI, one per call, round-robin over the slot
+//               table. A slot's mode is its only rotation membership.
 //   dedicated — the engine owns a task::ProgressThread serving this single
 //               hot VCI (the classic async-progress-thread shape, paid only
 //               while it earns). Started on promotion, stopped on demotion.
 //
-// Shared workers never change role; a dedicated VCI gets its own helper.
-// MPX_ENGINE_MAX_WORKERS caps shared workers plus live dedicated helpers.
+// The shared poller starts on the first promotion to shared and runs until
+// stop(). MPX_ENGINE_MAX_WORKERS caps engine polling threads: the shared
+// poller plus live dedicated helpers.
 //
 // A controller thread ticks every MPX_ENGINE_EPOCH_US and samples, per
 // attached VCI: application progress calls (total progress_calls minus the
@@ -33,11 +34,11 @@
 // EnginePolicy, pure and deterministic, so tests drive them with injected
 // samples.
 //
-// Shared workers call core_detail::vci_poll on the resolved Vci — the same
-// compiled stage table every progress_test scan runs, no new virtual hops
-// on the poll path — and every engine thread backs off through the shared
-// spin/yield/sleep ladder when idle, charging WaitLadderCounters: an idle
-// engine provably parks on the sleep rung instead of burning a core
+// The shared poller calls core_detail::vci_poll on the resolved Vci — the
+// same compiled stage table every progress_test scan runs, no new virtual
+// hops on the poll path — and every engine thread backs off through the
+// shared spin/yield/sleep ladder when idle, charging WaitLadderCounters: an
+// idle engine provably parks on the sleep rung instead of burning a core
 // (stats().worker_rungs is the evidence the overlap bench checks in).
 #pragma once
 
@@ -47,20 +48,20 @@
 #include <mutex>
 #include <vector>
 
-#include "mpx/base/queue.hpp"
 #include "mpx/base/thread.hpp"
 #include "mpx/core/config.hpp"
 #include "mpx/core/stream.hpp"
 #include "mpx/core/wait_policy.hpp"
 #include "mpx/core/world.hpp"
-#include "mpx/task/steal_deque.hpp"
 
 namespace mpx::task {
+
+class ProgressThread;
 
 /// Who drives progress on an attached VCI right now.
 enum class EngineMode : std::uint8_t {
   inline_poll = 0,  ///< application threads poll; engine hands off
-  shared = 1,       ///< absorbed into a pooled worker's steal rotation
+  shared = 1,       ///< served by the engine's round-robin shared poller
   dedicated = 2,    ///< an engine-owned ProgressThread serves this VCI alone
 };
 
@@ -114,20 +115,27 @@ class EnginePolicy {
 };
 
 /// The engine runtime. RAII: the controller thread starts on construction
-/// (shared workers start lazily on first promotion, dedicated helpers on
-/// each promotion to dedicated) and everything stops and joins in
-/// stop()/the destructor. Constructing a World never creates one of these
-/// — the engine is opt-in, owned by the application or benchmark,
-/// configured through WorldConfig::progress_engine (MPX_ENGINE_* cvars).
+/// (the shared poller starts lazily on the first promotion to shared,
+/// dedicated helpers on each promotion to dedicated) and everything stops
+/// and joins in stop()/the destructor. Constructing a World never creates
+/// one of these — the engine is opt-in, owned by the application or
+/// benchmark, configured through WorldConfig::progress_engine
+/// (MPX_ENGINE_* cvars).
 ///
 /// Threading contract: engine threads only ever poll progress and descend
 /// the wait-ladder backoff — they block on nothing and acquire no
 /// vci/stream-ranked lock themselves (the poll takes the VCI lock
 /// internally, same as every application progress call). attach/detach/
-/// stats may be called from any thread but not from inside a progress
+/// mode_of/stats may be called from any thread but not from inside a progress
 /// callback: the controller joins dedicated helpers while holding the
 /// engine's mutex, so a helper blocking on that mutex would deadlock.
 /// stop() is idempotent and safe to race with the destructor.
+///
+/// Detach handoff: once detach(stream) returns, no engine thread touches
+/// the stream's VCI again until it is re-attached, so the caller may
+/// stream_free() it. A stream must be detached before it is freed; a
+/// later attach of a recycled stream (same rank and VCI id) binds the new
+/// VCI and restarts that slot's sampling and hysteresis from scratch.
 class ProgressEngine {
  public:
   explicit ProgressEngine(World& world);
@@ -141,13 +149,15 @@ class ProgressEngine {
   void attach(const Stream& stream);
 
   /// Stop managing `stream`'s VCI: the engine hands progress back to the
-  /// application (mode reads inline_poll afterwards).
+  /// application (mode reads inline_poll afterwards). On return no engine
+  /// thread is polling the VCI, so the stream may be freed.
   void detach(const Stream& stream);
 
   /// Current mode of an attached stream (inline_poll if never attached).
   EngineMode mode_of(const Stream& stream) const;
 
-  /// Stop the controller and all workers and join them. Idempotent.
+  /// Stop the controller, the shared poller and every dedicated helper and
+  /// join them. Idempotent.
   void stop();
 
   struct VciStats {
@@ -162,11 +172,13 @@ class ProgressEngine {
     std::uint64_t epochs = 0;      ///< controller ticks so far
     std::uint64_t promotions = 0;  ///< inline->shared + shared->dedicated
     std::uint64_t demotions = 0;   ///< dedicated->shared + shared->inline
-    std::uint64_t steals = 0;      ///< successful cross-worker deque steals
-    /// Polling threads alive now: shared workers plus dedicated helpers
+    /// Always 0: the one shared poller has no peer to steal from. Kept so
+    /// benchmark reports keep their column.
+    std::uint64_t steals = 0;
+    /// Polling threads alive now: the shared poller plus dedicated helpers
     /// (never more than MPX_ENGINE_MAX_WORKERS).
     int workers = 0;
-    /// Aggregate idle-backoff rung occupancy of every shared worker and
+    /// Aggregate idle-backoff rung occupancy of the shared poller and every
     /// dedicated helper, past and present (monotonic). A parked engine
     /// accumulates `sleep` — the not-burning-a-core evidence.
     core_detail::WaitLadderCounters::Snapshot worker_rungs;
@@ -175,31 +187,35 @@ class ProgressEngine {
 
  private:
   struct Slot;
-  struct Worker;
 
   void controller_loop();
-  void worker_loop(Worker& w);
+  int poll_shared();
   void sample_and_decide();
-  void apply_transition(int idx, Slot& s, EngineMode next);
+  void apply_transition(Slot& s, EngineMode next);
   int poll_slot(Slot& s);
-  void assign_to_worker(int slot_idx);
-  void spawn_worker_locked();
+  void prime(Slot& s);
   void retire_helper(Slot& s);
   int live_threads() const;
 
   World& world_;
   ProgressEngineConfig cfg_;
-  core_detail::WaitPolicy worker_wait_;
 
   /// Fixed-capacity slot table published like the core VCI tables: slots_
   /// never reallocates, slot_count_ is the release-published length, so
-  /// workers index it lock-free while attach() appends.
+  /// the shared poller indexes it lock-free while attach() appends.
   std::vector<std::unique_ptr<Slot>> slots_;
   std::atomic<int> slot_count_{0};
-  mutable std::mutex attach_mu_;  ///< serializes attach/detach/spawn
+  /// Serializes attach/detach, mode transitions and stats().
+  mutable std::mutex attach_mu_;
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<int> worker_count_{0};
+  /// The shared poller: started on the first promotion to shared
+  /// (attach_mu_), stopped only by stop().
+  std::unique_ptr<ProgressThread> shared_;
+  /// Next slot the shared poller considers (shared poller only).
+  int shared_next_ = 0;
+  /// Slot index the shared poller is polling, or -1: detach() waits until
+  /// it moves off the slot being detached.
+  std::atomic<int> shared_polling_{-1};
   int helpers_ = 0;  ///< live dedicated helpers (attach_mu_)
   /// Rungs of dedicated helpers already stopped (attach_mu_).
   core_detail::WaitLadderCounters::Snapshot retired_rungs_;
@@ -210,7 +226,6 @@ class ProgressEngine {
   std::atomic<std::uint64_t> epochs_{0};
   std::atomic<std::uint64_t> promotions_{0};
   std::atomic<std::uint64_t> demotions_{0};
-  std::atomic<std::uint64_t> steals_{0};
 
   base::ScopedThread controller_;
 };

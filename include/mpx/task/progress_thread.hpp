@@ -9,12 +9,15 @@
 // (wait_policy.hpp, MPX_WAIT_*), so an idle helper parks on the sleep rung
 // instead of burning a core (the MVAPICH-style tuning the paper cites).
 //
-// This is also the adaptive engine's dedicated poller: task::ProgressEngine
-// starts one per VCI it promotes to dedicated mode and stops it on demotion.
+// It is the library's only engine/helper polling loop. The adaptive engine
+// (task::ProgressEngine) runs its dedicated mode on one of these per
+// promoted VCI, and its shared mode on one more whose poll callable polls
+// the engine's shared VCIs round-robin.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 
 #include "mpx/base/thread.hpp"
@@ -23,13 +26,15 @@
 
 namespace mpx::task {
 
-/// RAII progress thread for one stream. Starts on construction, stops and
-/// joins on destruction.
+/// RAII progress thread. Starts on construction, stops and joins on
+/// destruction.
 ///
-/// Threading contract: the helper thread only ever calls stream_progress(),
-/// which takes the stream's VCI lock (rank vci) and, transitively, transport
-/// locks (rank transport*) — the same order every application thread uses,
-/// so adding a helper thread can never introduce a lock-order cycle. All
+/// Threading contract: the helper thread only ever calls its poll callable
+/// — stream_progress() for the Stream form — which takes the stream's VCI
+/// lock (rank vci) and, transitively, transport locks (rank transport*) —
+/// the same order every application thread uses, so adding a helper thread
+/// can never introduce a lock-order cycle. A custom poll callable must keep
+/// that contract: poll progress entry points, block nowhere. All
 /// members it shares with the owner (stop_, counters) are atomics; stop()
 /// is safe to call from any thread other than the helper itself, idempotent,
 /// and safe to race with the destructor (exactly one caller joins, the rest
@@ -38,7 +43,11 @@ namespace mpx::task {
 /// see the thread's last poll.
 class ProgressThread {
  public:
+  /// Drive progress on one stream: the poll is stream_progress(stream).
   explicit ProgressThread(Stream stream);
+  /// Drive an arbitrary poll: `poll` returns nonzero when it made progress.
+  /// The idle backoff follows `world`'s wait-ladder config (MPX_WAIT_*).
+  ProgressThread(const World& world, std::function<int()> poll);
   ~ProgressThread();
 
   ProgressThread(const ProgressThread&) = delete;
@@ -47,11 +56,11 @@ class ProgressThread {
   /// Ask the thread to stop and wait for it.
   void stop();
 
-  /// Progress calls issued so far (lifetime total).
+  /// Poll calls issued so far (lifetime total).
   std::uint64_t iterations() const {
     return iterations_.load(std::memory_order_relaxed);
   }
-  /// Progress calls that reported progress (lifetime total).
+  /// Poll calls that reported progress (lifetime total).
   std::uint64_t productive() const {
     return productive_.load(std::memory_order_relaxed);
   }
@@ -64,7 +73,7 @@ class ProgressThread {
  private:
   void run();
 
-  Stream stream_;
+  std::function<int()> poll_;
   core_detail::WaitPolicy wait_;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> iterations_{0};

@@ -3,18 +3,21 @@
 // when.
 //
 // Concurrency layout:
-//   - attach_mu_ serializes the slow path: attach/detach, worker spawning,
-//     every mode transition, and stats(). The controller holds it for the
-//     whole sample/decide pass. It is an unranked leaf taken by threads
-//     that hold no runtime lock, so it cannot participate in a lock cycle.
-//   - Shared workers never take attach_mu_. They navigate the slot table
-//     through the release-published slot_count_ (the table storage never
-//     moves) and read each slot's mode atomically; stale deque entries
-//     whose slot left shared mode are dropped at pop time (`in_rotation`
-//     then allows the controller to re-enqueue the slot later,
-//     exactly-one-copy). Workers never change role: a dedicated VCI gets
-//     its own ProgressThread, started and joined under attach_mu_ (the
-//     helper never takes it).
+//   - attach_mu_ serializes the slow path: attach/detach, every mode
+//     transition (which starts the shared poller and starts/joins dedicated
+//     helpers), and stats(). The controller holds it for the whole
+//     sample/decide pass. It is an unranked leaf taken by threads that hold
+//     no runtime lock, so it cannot participate in a lock cycle.
+//   - No engine poller ever takes attach_mu_. The shared poller walks the
+//     slot table round-robin through the release-published slot_count_
+//     (the table storage never moves) and polls a slot only while its mode
+//     reads shared, so the mode is the whole rotation membership: nothing
+//     is enqueued, nothing can be stranded.
+//   - Detach handoff: the poller publishes the slot it is about to poll in
+//     shared_polling_ and re-reads the mode; detach() stores inline and
+//     waits while shared_polling_ names its slot (both seq_cst, so one of
+//     them sees the other). After detach() returns no poll of the VCI is in
+//     flight, which is what lets a re-attach rebind the slot's VCI.
 //   - The poll itself is core_detail::vci_poll (stream_progress in a
 //     helper) — the compiled stage table behind every progress_test call.
 //     Engine threads hold no lock around it and block nowhere; idle ones
@@ -28,7 +31,6 @@
 #include "mpx/task/progress_engine.hpp"
 
 #include <chrono>
-#include <string>
 #include <thread>
 
 #include "mpx/core/progress_source.hpp"
@@ -38,11 +40,9 @@ namespace mpx::task {
 
 namespace {
 
-/// Capacity of each shared worker's work-stealing deque of slot indices.
-constexpr std::size_t kDequeCapacity = 64;
-
-/// Hard bound on attachable VCIs; the table is preallocated so workers can
-/// index it lock-free while attach() appends (same shape as RankCtx slots).
+/// Hard bound on attachable VCIs; the table is preallocated so the shared
+/// poller can index it lock-free while attach() appends (same shape as
+/// RankCtx slots).
 std::size_t slot_table_capacity(const World& w) {
   const std::size_t cap = static_cast<std::size_t>(w.size()) *
                           static_cast<std::size_t>(w.config().max_vcis);
@@ -55,17 +55,15 @@ struct ProgressEngine::Slot {
   Slot(const ProgressEngineConfig& cfg, const Stream& st, core_detail::Vci* v)
       : stream(st), vci(v), policy(cfg) {}
 
-  const Stream stream;
-  core_detail::Vci* const vci;
+  // Rebound only by attach() of a detached slot (attach_mu_ held), when the
+  // mode is inline and the detach handoff guarantees no poll is in flight.
+  Stream stream;
+  core_detail::Vci* vci;
 
   std::atomic<EngineMode> mode{EngineMode::inline_poll};
   std::atomic<bool> detached{false};
-  /// True while an index for this slot lives in some worker's inbox or
-  /// deque (exactly one copy in the whole pool). Workers clear it when
-  /// they drop a stale entry; the controller's re-enqueue CASes it back.
-  std::atomic<bool> in_rotation{false};
 
-  /// Shared-worker polls, plus those of dedicated helpers already stopped.
+  /// Shared-poller polls, plus those of dedicated helpers already stopped.
   std::atomic<std::uint64_t> engine_polls{0};
   std::atomic<std::uint64_t> engine_hits{0};
   /// The dedicated helper while mode == dedicated (attach_mu_).
@@ -87,16 +85,6 @@ struct ProgressEngine::Slot {
   std::uint64_t prev_engine_hits = 0;
   World::WaitRungCounters prev_rungs;
   EnginePolicy policy;
-};
-
-struct ProgressEngine::Worker {
-  explicit Worker(int idx) : index(idx), deque(kDequeCapacity) {}
-
-  const int index;
-  StealDeque<int> deque;            ///< this worker's shared rotation
-  base::MpscQueue<int> inbox;       ///< controller -> worker assignments
-  core_detail::WaitLadderCounters rungs;
-  base::ScopedThread thread;        ///< started last, by spawn_worker_locked
 };
 
 // ---------------------------------------------------------------- policy --
@@ -173,11 +161,7 @@ ProgressEngine::ProgressEngine(World& world)
     : world_(world), cfg_(world.config().progress_engine) {
   if (cfg_.epoch_us < 1) cfg_.epoch_us = 1;
   if (cfg_.max_workers < 1) cfg_.max_workers = 1;
-  const WorldConfig& wc = world.config();
-  worker_wait_ = core_detail::WaitPolicy{wc.wait_spin, wc.wait_yield,
-                                         wc.wait_sleep_max_us};
   slots_.resize(slot_table_capacity(world));
-  workers_.resize(static_cast<std::size_t>(cfg_.max_workers));
   controller_ = base::ScopedThread([this] { controller_loop(); });
 }
 
@@ -186,15 +170,14 @@ ProgressEngine::~ProgressEngine() { stop(); }
 void ProgressEngine::stop() {
   stop_.store(true, std::memory_order_release);
   // Same pattern as ProgressThread::stop: exactly one caller joins the
-  // controller, the workers and the dedicated helpers; racing callers
+  // controller, the shared poller and the dedicated helpers; racing callers
   // block until it is done and then see every thread's final counters.
   std::call_once(join_once_, [this] {
     controller_.join();
-    const int nw = worker_count_.load(std::memory_order_acquire);
-    for (int i = 0; i < nw; ++i) {
-      workers_[static_cast<std::size_t>(i)]->thread.join();
-    }
     std::lock_guard<std::mutex> g(attach_mu_);
+    // The controller, the only thread that starts pollers, is gone. The
+    // shared poller stays allocated so stats() keeps its rungs.
+    if (shared_) shared_->stop();
     const int n = slot_count_.load(std::memory_order_relaxed);
     for (int i = 0; i < n; ++i) {
       retire_helper(*slots_[static_cast<std::size_t>(i)]);
@@ -209,22 +192,37 @@ void ProgressEngine::attach(const Stream& stream) {
   const int n = slot_count_.load(std::memory_order_relaxed);
   for (int i = 0; i < n; ++i) {
     Slot& s = *slots_[static_cast<std::size_t>(i)];
-    if (s.stream == stream) {
+    if (!(s.stream == stream)) continue;
+    if (s.detached.load(std::memory_order_relaxed)) {
+      // The stream may have been freed and its id recycled since detach:
+      // bind the VCI live now and start sampling and hysteresis afresh. A
+      // detached slot is inline and no shared poll of it is in flight.
+      s.stream = stream;
+      s.vci = &world_.vci(stream.rank(), stream.vci());
+      s.policy = EnginePolicy(cfg_);
+      prime(s);
       s.detached.store(false, std::memory_order_relaxed);
-      return;
     }
+    return;
   }
   expects(static_cast<std::size_t>(n) < slots_.size(),
           "ProgressEngine::attach: slot table full");
   auto s = std::make_unique<Slot>(cfg_, stream,
                                   &world_.vci(stream.rank(), stream.vci()));
-  // Prime the sampling cursors so the first epoch's deltas cover exactly
-  // the first epoch, not the VCI's whole history.
-  s->prev_progress_calls =
-      world_.vci_progress_calls(stream.rank(), stream.vci());
-  s->prev_rungs = world_.vci_wait_rungs(stream.rank(), stream.vci());
+  prime(*s);
   slots_[static_cast<std::size_t>(n)] = std::move(s);
   slot_count_.store(n + 1, std::memory_order_release);
+}
+
+void ProgressEngine::prime(Slot& s) {
+  // attach_mu_ held. Prime the sampling cursors so the first epoch's
+  // deltas cover exactly the first epoch, not the VCI's whole history.
+  const int rank = s.stream.rank();
+  const int id = s.stream.vci();
+  s.prev_progress_calls = world_.vci_progress_calls(rank, id);
+  s.prev_engine_polls = s.polls();
+  s.prev_engine_hits = s.hits();
+  s.prev_rungs = world_.vci_wait_rungs(rank, id);
 }
 
 void ProgressEngine::detach(const Stream& stream) {
@@ -235,17 +233,23 @@ void ProgressEngine::detach(const Stream& stream) {
     if (!(s.stream == stream)) continue;
     s.detached.store(true, std::memory_order_relaxed);
     retire_helper(s);
-    // A shared worker drops its copy at its next pop.
-    s.mode.store(EngineMode::inline_poll, std::memory_order_release);
+    // Handoff with poll_shared(): either the poller sees inline before it
+    // polls, or this loop sees its published index and waits it out.
+    s.mode.store(EngineMode::inline_poll, std::memory_order_seq_cst);
+    while (shared_polling_.load(std::memory_order_seq_cst) == i) {
+      std::this_thread::yield();
+    }
     return;
   }
 }
 
 EngineMode ProgressEngine::mode_of(const Stream& stream) const {
-  const int n = slot_count_.load(std::memory_order_acquire);
+  // attach_mu_: attach() may rebind a detached slot's stream.
+  std::lock_guard<std::mutex> g(attach_mu_);
+  const int n = slot_count_.load(std::memory_order_relaxed);
   for (int i = 0; i < n; ++i) {
     const Slot& s = *slots_[static_cast<std::size_t>(i)];
-    if (s.stream == stream) return s.mode.load(std::memory_order_acquire);
+    if (s.stream == stream) return s.mode.load(std::memory_order_relaxed);
   }
   return EngineMode::inline_poll;
 }
@@ -276,12 +280,8 @@ ProgressEngine::Stats ProgressEngine::stats() const {
   out.epochs = epochs_.load(std::memory_order_relaxed);
   out.promotions = promotions_.load(std::memory_order_relaxed);
   out.demotions = demotions_.load(std::memory_order_relaxed);
-  out.steals = steals_.load(std::memory_order_relaxed);
   out.workers = live_threads();
-  const int nw = worker_count_.load(std::memory_order_relaxed);
-  for (int wi = 0; wi < nw; ++wi) {
-    add_rungs(workers_[static_cast<std::size_t>(wi)]->rungs.snapshot());
-  }
+  if (shared_) add_rungs(shared_->rungs());
   return out;
 }
 
@@ -292,41 +292,32 @@ int ProgressEngine::poll_slot(Slot& s) {
   return made;
 }
 
+int ProgressEngine::poll_shared() {
+  // Shared poller only. One poll per call keeps the old pacing: one poll
+  // per backoff step, whatever the number of shared VCIs.
+  const int n = slot_count_.load(std::memory_order_acquire);
+  for (int k = 0; k < n; ++k) {
+    const int i = shared_next_ < n ? shared_next_ : 0;
+    shared_next_ = i + 1;
+    Slot& s = *slots_[static_cast<std::size_t>(i)];
+    if (s.mode.load(std::memory_order_relaxed) != EngineMode::shared) {
+      continue;
+    }
+    // Detach handoff (see detach()): publish, then re-check the mode.
+    shared_polling_.store(i, std::memory_order_seq_cst);
+    int made = 0;
+    if (s.mode.load(std::memory_order_seq_cst) == EngineMode::shared) {
+      made = poll_slot(s);
+    }
+    shared_polling_.store(-1, std::memory_order_seq_cst);
+    return made;
+  }
+  return 0;
+}
+
 int ProgressEngine::live_threads() const {
   // attach_mu_ held.
-  return worker_count_.load(std::memory_order_relaxed) + helpers_;
-}
-
-void ProgressEngine::spawn_worker_locked() {
-  expects(live_threads() < cfg_.max_workers,
-          "ProgressEngine: worker ceiling exceeded");
-  const int n = worker_count_.load(std::memory_order_relaxed);
-  auto w = std::make_unique<Worker>(n);
-  Worker* raw = w.get();
-  workers_[static_cast<std::size_t>(n)] = std::move(w);
-  // Publish the table entry before the thread starts and before other
-  // workers may steal from index n.
-  worker_count_.store(n + 1, std::memory_order_release);
-  raw->thread = base::ScopedThread([this, raw] { worker_loop(*raw); });
-}
-
-void ProgressEngine::assign_to_worker(int slot_idx) {
-  // attach_mu_ held. Exactly-one-copy: only the false->true winner may
-  // enqueue the index anywhere.
-  Slot& s = *slots_[static_cast<std::size_t>(slot_idx)];
-  bool expected = false;
-  if (!s.in_rotation.compare_exchange_strong(expected, true,
-                                             std::memory_order_acq_rel)) {
-    return;  // already riding in some deque
-  }
-  // The controller admits a slot into shared mode only when a worker
-  // exists or the ceiling leaves room to spawn the first one.
-  if (worker_count_.load(std::memory_order_relaxed) == 0) {
-    spawn_worker_locked();
-  }
-  const int nw = worker_count_.load(std::memory_order_relaxed);
-  workers_[static_cast<std::size_t>(slot_idx % nw)]->inbox.push(
-      std::move(slot_idx));
+  return (shared_ ? 1 : 0) + helpers_;
 }
 
 void ProgressEngine::retire_helper(Slot& s) {
@@ -345,7 +336,7 @@ void ProgressEngine::retire_helper(Slot& s) {
   --helpers_;
 }
 
-void ProgressEngine::apply_transition(int idx, Slot& s, EngineMode next) {
+void ProgressEngine::apply_transition(Slot& s, EngineMode next) {
   // attach_mu_ held (controller only). The policy moves one step at a
   // time along inline < shared < dedicated; leaving dedicated stops the
   // helper first.
@@ -357,10 +348,17 @@ void ProgressEngine::apply_transition(int idx, Slot& s, EngineMode next) {
   s.mode.store(next, std::memory_order_release);
   switch (next) {
     case EngineMode::shared:
-      assign_to_worker(idx);
+      // The controller admits a slot into shared mode only when the poller
+      // exists or the ceiling leaves room to start it.
+      if (!shared_) {
+        expects(live_threads() < cfg_.max_workers,
+                "ProgressEngine: worker ceiling exceeded");
+        shared_ = std::make_unique<ProgressThread>(
+            world_, [this] { return poll_shared(); });
+      }
       break;
     case EngineMode::dedicated:
-      // The shared worker drops its copy at its next pop.
+      // The shared poller skips the slot from its next pass on.
       s.helper = std::make_unique<ProgressThread>(s.stream);
       ++helpers_;
       break;
@@ -396,28 +394,15 @@ void ProgressEngine::sample_and_decide() {
     s.prev_engine_hits = eh;
     s.prev_rungs = rungs;
 
-    // A promotion needs a thread: inline -> shared joins an existing
-    // shared worker or spawns the first one, shared -> dedicated starts a
-    // helper. Either new thread must fit under the ceiling.
+    // A promotion needs a thread: inline -> shared rides the shared
+    // poller or starts it, shared -> dedicated starts a helper. Either new
+    // thread must fit under the ceiling.
     const EngineMode cur = s.mode.load(std::memory_order_relaxed);
-    const bool can_grow =
-        live_threads() < cfg_.max_workers ||
-        (cur == EngineMode::inline_poll &&
-         worker_count_.load(std::memory_order_relaxed) > 0);
+    const bool can_grow = live_threads() < cfg_.max_workers ||
+                          (cur == EngineMode::inline_poll && shared_);
 
     const EngineMode next = s.policy.decide(cur, smp, can_grow);
-    if (next != cur) {
-      apply_transition(i, s, next);
-    } else if (cur == EngineMode::shared &&
-               !s.in_rotation.load(std::memory_order_acquire)) {
-      // Heal a stranded shared slot. Two ways one arises: a worker's
-      // re-push hit a full deque, or a drop raced a re-promotion (the
-      // worker popped the entry, the controller saw in_rotation still
-      // true and assumed the slot was riding, then the worker dropped
-      // it). in_rotation == false guarantees no live copy exists, so
-      // re-enqueueing cannot violate exactly-one-copy.
-      assign_to_worker(i);
-    }
+    if (next != cur) apply_transition(s, next);
   }
 }
 
@@ -436,50 +421,6 @@ void ProgressEngine::controller_loop() {
     if (stop_.load(std::memory_order_acquire)) break;
     sample_and_decide();
     epochs_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void ProgressEngine::worker_loop(Worker& w) {
-  base::set_current_thread_name("mpx-engine-" + std::to_string(w.index));
-  core_detail::WaitBackoff backoff{worker_wait_, &w.rungs};
-  while (!stop_.load(std::memory_order_acquire)) {
-    // Move controller handoffs into the rotation.
-    while (auto idx = w.inbox.try_pop()) {
-      if (!w.deque.try_push(*idx)) {
-        slots_[static_cast<std::size_t>(*idx)]->in_rotation.store(
-            false, std::memory_order_release);
-      }
-    }
-    // Rotate: take the oldest assignment (self-steal keeps the rotation
-    // FIFO), poll it, put it back. Fall back to stealing from peers.
-    std::optional<int> idx = w.deque.try_steal();
-    if (!idx.has_value()) {
-      const int nw = worker_count_.load(std::memory_order_acquire);
-      for (int off = 1; off < nw && !idx.has_value(); ++off) {
-        idx = workers_[static_cast<std::size_t>((w.index + off) % nw)]
-                  ->deque.try_steal();
-        if (idx.has_value()) steals_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    int made = 0;
-    if (idx.has_value()) {
-      Slot& s = *slots_[static_cast<std::size_t>(*idx)];
-      if (s.mode.load(std::memory_order_acquire) == EngineMode::shared) {
-        made = poll_slot(s);
-        if (!w.deque.try_push(*idx)) {
-          s.in_rotation.store(false, std::memory_order_release);
-        }
-      } else {
-        // Slot left shared mode; drop it and let the controller
-        // re-enqueue if it ever comes back.
-        s.in_rotation.store(false, std::memory_order_release);
-      }
-    }
-    if (made != 0) {
-      backoff.reset();
-    } else {
-      backoff.pause();
-    }
   }
 }
 

@@ -4,9 +4,14 @@
 
 namespace mpx::task {
 
-ProgressThread::ProgressThread(Stream stream) : stream_(std::move(stream)) {
-  expects(stream_.valid(), "ProgressThread: invalid stream");
-  const WorldConfig& wc = stream_.world().config();
+// Stream::world() rejects an invalid handle.
+ProgressThread::ProgressThread(Stream stream)
+    : ProgressThread(stream.world(),
+                     [stream] { return stream_progress(stream); }) {}
+
+ProgressThread::ProgressThread(const World& world, std::function<int()> poll)
+    : poll_(std::move(poll)) {
+  const WorldConfig& wc = world.config();
   wait_ = core_detail::WaitPolicy{wc.wait_spin, wc.wait_yield,
                                   wc.wait_sleep_max_us};
   thread_ = base::ScopedThread([this] { run(); });
@@ -26,7 +31,7 @@ void ProgressThread::run() {
   base::set_current_thread_name("mpx-progress");
   core_detail::WaitBackoff backoff{wait_, &rungs_};
   while (!stop_.load(std::memory_order_acquire)) {
-    const int made = stream_progress(stream_);
+    const int made = poll_();
     iterations_.fetch_add(1, std::memory_order_relaxed);
     if (made != 0) {
       productive_.fetch_add(1, std::memory_order_relaxed);

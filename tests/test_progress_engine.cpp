@@ -5,17 +5,20 @@
 // thresholds, deferred promotion under the worker ceiling, and the
 // wait-ladder starvation signal. The runtime half is exercised end to end
 // on a real World (promote while the application computes, drive a VCI
-// whose only work is an async hook, hold the worker ceiling across shared
-// workers and dedicated helpers, demote and park on the sleep rung when the
-// workload goes idle), with generous deadlines so scheduling noise cannot
-// flake the assertions. ProgressThread's concurrent stop()/destructor race
-// rides along: it is the engine's dedicated poller.
+// whose only work is an async hook, serve many VCIs from the one shared
+// poller, hold the worker ceiling across the shared poller and dedicated
+// helpers, re-attach a recycled stream, free streams right after detach,
+// demote and park on the sleep rung when the workload goes idle), with
+// generous deadlines so scheduling noise cannot flake the assertions.
+// ProgressThread rides along: it is the engine's only polling loop, shared
+// and dedicated.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -86,6 +89,23 @@ struct Relay {
     return AsyncResult::done;
   }
 };
+
+/// Starts a hook on `s` that finishes on its `n`th poll, then waits — the
+/// test thread never polls — until the engine has run it to completion.
+bool engine_drives_hook(World& w, const Stream& s, int n) {
+  auto polls = std::make_shared<std::atomic<int>>(0);
+  async_start(
+      [polls, n] {
+        return polls->fetch_add(1, std::memory_order_relaxed) + 1 >= n
+                   ? AsyncResult::done
+                   : AsyncResult::pending;
+      },
+      s);
+  return wait_until([&] { return polls->load() >= n; },
+                    std::chrono::seconds(10)) &&
+         wait_until([&] { return w.vci_pending(s.rank(), s.vci()) == 0; },
+                    std::chrono::seconds(10));
+}
 
 }  // namespace
 
@@ -240,7 +260,7 @@ TEST(ProgressEngineTest, WorkerCeilingHolds) {
 
   // Two streams, both permanently starved (a receive that never matches
   // keeps active_ops pinned at 1 while the app never polls): both must end
-  // up shared on the single allowed worker.
+  // up shared on the shared poller, the single allowed engine thread.
   Stream sa = w->stream_create(0);
   Stream sb = w->stream_create(0);
   eng.attach(sa);
@@ -261,7 +281,7 @@ TEST(ProgressEngineTest, WorkerCeilingHolds) {
       std::chrono::seconds(20)));
   EXPECT_EQ(eng.stats().workers, 1);
 
-  // A worker multiplexing both VCIs must be polling both.
+  // The shared poller must be polling both VCIs.
   EXPECT_TRUE(wait_until(
       [&] {
         const auto st = eng.stats();
@@ -278,6 +298,59 @@ TEST(ProgressEngineTest, WorkerCeilingHolds) {
   EXPECT_TRUE(rb.is_complete());
   w->stream_free(sa);
   w->stream_free(sb);
+  w->finalize_rank(0);
+}
+
+TEST(ProgressEngineTest, OneSharedPollerServesManyVcis) {
+  // Shared mode is one thread however many VCIs ride it and however much
+  // room the ceiling leaves: six starved VCIs all go shared on it.
+  WorldConfig cfg{.nranks = 1};
+  cfg.progress_engine.epoch_us = 200;
+  cfg.progress_engine.max_workers = 4;
+  auto w = World::create(cfg);
+  task::ProgressEngine eng(*w);
+
+  constexpr int kStreams = 6;
+  Comm cw = w->comm_world(0);
+  std::vector<Stream> streams;
+  std::vector<Request> reqs;
+  std::int32_t bufs[kStreams] = {};
+  for (int i = 0; i < kStreams; ++i) {
+    streams.push_back(w->stream_create(0));
+    eng.attach(streams.back());
+    // Never matched: keeps the VCI pending and its engine hit rate at 0.
+    reqs.push_back(cw.with_stream(streams.back())
+                       .irecv(&bufs[i], 1, dtype::Datatype::int32(), 0,
+                              2000 + i));
+  }
+
+  EXPECT_TRUE(wait_until(
+      [&] {
+        return std::all_of(streams.begin(), streams.end(),
+                           [&](const Stream& s) {
+                             return eng.mode_of(s) == EngineMode::shared;
+                           });
+      },
+      std::chrono::seconds(20)));
+  EXPECT_TRUE(wait_until(
+      [&] {
+        const auto st = eng.stats();
+        return st.vcis.size() == static_cast<std::size_t>(kStreams) &&
+               std::all_of(st.vcis.begin(), st.vcis.end(),
+                           [](const auto& v) { return v.engine_polls > 0; });
+      },
+      std::chrono::seconds(20)))
+      << "the shared poller skipped a shared VCI";
+  const auto st = eng.stats();
+  EXPECT_EQ(st.workers, 1);
+  EXPECT_EQ(st.steals, 0u);
+
+  eng.stop();
+  for (int i = 0; i < kStreams; ++i) {
+    reqs[static_cast<std::size_t>(i)].cancel();
+    EXPECT_TRUE(reqs[static_cast<std::size_t>(i)].is_complete());
+    w->stream_free(streams[static_cast<std::size_t>(i)]);
+  }
   w->finalize_rank(0);
 }
 
@@ -313,9 +386,9 @@ TEST(ProgressEngineTest, DrivesHookOnlyWork) {
 }
 
 TEST(ProgressEngineTest, WorkerBudgetCountsDedicatedHelpers) {
-  // max_workers caps shared workers plus dedicated helpers. Two starved,
-  // hot VCIs: one earns a dedicated helper, the ceiling holds the other in
-  // shared mode, and the shared worker keeps polling it.
+  // max_workers caps the shared poller plus dedicated helpers. Two
+  // starved, hot VCIs: one earns a dedicated helper, the ceiling holds the
+  // other in shared mode, and the shared poller keeps polling it.
   WorldConfig cfg{.nranks = 1};
   cfg.progress_engine.epoch_us = 200;
   cfg.progress_engine.max_workers = 2;
@@ -359,7 +432,7 @@ TEST(ProgressEngineTest, WorkerBudgetCountsDedicatedHelpers) {
   const std::uint64_t before = polls_of(shared);
   EXPECT_TRUE(wait_until([&] { return polls_of(shared) > before + 100; },
                          std::chrono::seconds(20)))
-      << "the shared VCI lost its worker";
+      << "the shared VCI lost its poller";
   EXPECT_EQ(eng.mode_of(dedicated), EngineMode::dedicated);
   EXPECT_EQ(eng.mode_of(shared), EngineMode::shared);
   EXPECT_EQ(sample().workers, 2);
@@ -391,7 +464,66 @@ TEST(ProgressEngineTest, DetachHandsProgressBack) {
   w->finalize_rank(0);
 }
 
-// ----------------------------------------------------- ProgressThread fix --
+TEST(ProgressEngineTest, ReattachAfterStreamRecycleDrivesTheNewVci) {
+  // Regression: a slot bound its VCI at the first attach and a re-attach
+  // only cleared the detached flag. stream_free + stream_create recycles
+  // the id and deletes the old Vci, so the shared poller polled freed
+  // memory and never saw the new VCI's work.
+  WorldConfig cfg{.nranks = 1};
+  cfg.progress_engine.epoch_us = 200;
+  cfg.progress_engine.dedicate_hit_rate = 2.0;  // stay on the shared poller
+  auto w = World::create(cfg);
+  task::ProgressEngine eng(*w);
+
+  Stream s = w->stream_create(0);
+  const int id = s.vci();
+  eng.attach(s);
+  ASSERT_TRUE(engine_drives_hook(*w, s, 50)) << "first VCI never driven";
+  eng.detach(s);
+  w->stream_free(s);
+
+  s = w->stream_create(0);
+  ASSERT_EQ(s.vci(), id) << "stream id was not recycled";
+  eng.attach(s);
+  ASSERT_TRUE(engine_drives_hook(*w, s, 50)) << "recycled VCI never driven";
+
+  eng.detach(s);
+  eng.stop();
+  w->stream_free(s);
+  w->finalize_rank(0);
+}
+
+TEST(ProgressEngineTest, DetachThenFreeChurnIsSafe) {
+  // Once detach() returns no engine thread touches the VCI, so the stream
+  // may be freed at once and its Vci deleted by a recycling stream_create,
+  // while a Relay stream keeps the shared poller busy next to it.
+  WorldConfig cfg{.nranks = 1};
+  cfg.progress_engine.epoch_us = 200;
+  cfg.progress_engine.dedicate_hit_rate = 2.0;  // stay on the shared poller
+  auto w = World::create(cfg);
+  task::ProgressEngine eng(*w);
+  Stream busy = w->stream_create(0);
+  Relay relay;
+  async_start(&Relay::poll, &relay, busy);
+  eng.attach(busy);
+
+  for (int round = 0; round < 100; ++round) {
+    Stream s = w->stream_create(0);
+    eng.attach(s);
+    ASSERT_TRUE(engine_drives_hook(*w, s, 3)) << "round " << round;
+    eng.detach(s);
+    w->stream_free(s);
+  }
+  EXPECT_EQ(eng.mode_of(busy), EngineMode::shared);
+
+  eng.stop();
+  relay.stop.store(true, std::memory_order_release);
+  while (w->vci_pending(0, busy.vci()) > 0) stream_progress(busy);
+  w->stream_free(busy);
+  w->finalize_rank(0);
+}
+
+// ----------------------------------------------------------- ProgressThread --
 
 TEST(ProgressThreadTest, ConcurrentStopAndDestroyIsSafe) {
   // Regression: stop() used to join unconditionally, so a destructor racing
@@ -408,4 +540,25 @@ TEST(ProgressThreadTest, ConcurrentStopAndDestroyIsSafe) {
     EXPECT_GE(its, pt->productive());
     delete pt;  // third stop() via the destructor
   }
+}
+
+TEST(ProgressThreadTest, DrivesPollCallable) {
+  // The engine's shared poller is a ProgressThread over a callable: every
+  // call counts as an iteration, a nonzero return as productive, and each
+  // empty call takes one step down the backoff ladder.
+  auto w = World::create(WorldConfig{.nranks = 1});
+  std::atomic<std::uint64_t> calls{0};
+  task::ProgressThread pt(*w, [&calls] {
+    return (calls.fetch_add(1, std::memory_order_relaxed) + 1) % 3 == 0 ? 1
+                                                                        : 0;
+  });
+  ASSERT_TRUE(wait_until([&] { return calls.load() >= 300; },
+                         std::chrono::seconds(10)));
+  pt.stop();
+  const std::uint64_t n = calls.load();
+  EXPECT_EQ(pt.iterations(), n);
+  EXPECT_EQ(pt.productive(), n / 3);
+  const auto r = pt.rungs();
+  EXPECT_EQ(r.spin + r.yield + r.sleep, n - n / 3);
+  EXPECT_GT(r.spin, 0u);
 }

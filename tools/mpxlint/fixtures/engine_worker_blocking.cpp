@@ -1,15 +1,15 @@
 // mpxlint fixture: progress-driver-shaped contract violations, mirroring
-// the adaptive engine's worker loop (src/task/progress_engine.cpp
-// ProgressEngine::worker_loop) and the stream-scoped helper that is also
-// the engine's dedicated poller (src/task/progress_thread.cpp
+// the adaptive engine's shared poll (src/task/progress_engine.cpp
+// ProgressEngine::poll_shared) and the stream-scoped helper that runs it
+// and is also the engine's dedicated poller (src/task/progress_thread.cpp
 // ProgressThread::run). A driver root may call the progress entry points
 // (vci_poll, stream_progress et al.) — that is its job — but it must stay
 // non-blocking and lock-free like any poll path. Three seeded bugs:
 //
 //   * drain_completions() blocks on wait_all while flushing finished
-//     slots — a stalled peer now stalls every VCI riding this worker's
-//     rotation (reached transitively: worker_loop -> rotate_once ->
-//     drain_completions);
+//     slots — a stalled peer now stalls every VCI riding the shared
+//     poller's rotation (reached transitively: poll_shared -> rotate_once
+//     -> drain_completions);
 //   * lock_slot_vci() wraps the vci_poll call in a vci-ranked LockGuard:
 //     vci_poll acquires the VCI lock itself, so holding one across the
 //     call re-enters the progress engine;
@@ -81,10 +81,12 @@ struct ProgressEngine {
     return made;
   }
 
-  void worker_loop() {
+  int poll_shared() {
+    int made = 0;
     for (int i = 0; i < nslots; ++i) {
-      rotate_once(i);
+      made += rotate_once(i);
     }
+    return made;
   }
 };
 

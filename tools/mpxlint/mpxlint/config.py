@@ -55,9 +55,6 @@ MODELED_FILES = (
     # and driven through every interleaving the suite explores.
     "include/mpx/coll/ir_cache.hpp",
     "src/coll/ir_exec.cpp",
-    # The progress engine's work-stealing deque — modeled by
-    # test_mc_engine_steal.cpp (steal-vs-pop last element, empty-steal ABA).
-    "include/mpx/task/steal_deque.hpp",
     # The control-plane/datapath topology seam (RCU snapshot publication,
     # epoch quiescence, pair in-flight counters) — modeled by
     # test_mc_topology_swap.cpp (publish/read/reclaim interleavings).
@@ -107,17 +104,18 @@ BLOCKING_CALL_NAMES = {
     "vci_poll",
 }
 
-# progress-contract: external progress-driver roots. These are thread loops
-# that drive progress from OUTSIDE a poll context (the adaptive engine's
-# shared workers, and ProgressThread — the stream-scoped helper that is
-# also the engine's dedicated poller), so calling a progress entry point
-# is their whole job — the
+# progress-contract: external progress-driver roots. These drive progress
+# from OUTSIDE a poll context (ProgressThread's loop — the stream-scoped
+# helper that is also the engine's dedicated poller — and the adaptive
+# engine's shared poll, which ProgressThread::run reaches through a
+# std::function the call graph cannot follow, so it is rooted itself), so
+# calling a progress entry point is their whole job — the
 # names in PROGRESS_ENTRY_CALL_NAMES are allowed boundaries for them — but
 # everything else about the contract still holds: no blocking waits, no
 # vci/stream-ranked lock acquisitions (vci_poll takes the VCI lock itself;
 # holding one across the call re-enters the engine).
 PROGRESS_DRIVER_ROOTS = {
-    ("ProgressEngine", "worker_loop"),
+    ("ProgressEngine", "poll_shared"),
     ("ProgressThread", "run"),
 }
 PROGRESS_ENTRY_CALL_NAMES = {
@@ -164,7 +162,6 @@ INTERNALLY_SYNCED_TYPES = (
     "LockRank",
     "Coordinator",
     "WaitLadderCounters",
-    "StealDeque",
     # RCU publication point: one atomic pointer, synchronized by the
     # publish/pin/quiesce protocol in topology.hpp.
     "TopologyHandle",
