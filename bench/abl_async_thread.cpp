@@ -13,8 +13,8 @@
 //                    exists, but the main thread's VCI stays uncontended
 //
 // Reported: round trips per second and the VCI-0 lock contention counters.
-// (Single-core note: helpers back off through the MPX_WAIT_* spin/yield/
-// sleep ladder after idle polls so the main thread can run; the
+// (Single-core note: helpers back off through the WorldConfig::wait_*
+// spin/yield/sleep ladder after idle polls so the main thread can run; the
 // contended-acquire counter is the scheduling-independent signal.)
 #include <benchmark/benchmark.h>
 

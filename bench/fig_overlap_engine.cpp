@@ -18,7 +18,7 @@
 //               serialize after the compute phase (Fig. 4c shape).
 //   dedicated — one static ProgressThread per rank, the classic always-on
 //               async-progress thread. Idle polls descend the same
-//               MPX_WAIT_* spin/yield/sleep ladder as the engine's threads:
+//               wait_* spin/yield/sleep ladder as the engine's threads:
 //               on an oversubscribed core a helper that never backs off
 //               hogs whole scheduler timeslices and starves the ranks
 //               themselves, so both strategies idle the same way and differ
@@ -110,15 +110,15 @@ WorldConfig overlap_config() {
   // progress engine can overlap with compute.
   cfg.shm_lmt_chunk = 128 * 1024;
   // Reactive controller so the promotion ramp amortizes even in smoke
-  // runs; MPX_ENGINE_MAX_WORKERS stays at its default.
+  // runs; progress_engine.max_workers stays at its default.
   cfg.progress_engine.epoch_us = 200;
-  // Dedicate eagerly (MPX_ENGINE_DEDICATE_RATE): epoch hit rates here top
-  // out around 0.1-0.3 because polls during the compute gap come up empty,
-  // so the default 0.5 would never give the hot VCI its own helper. Once
-  // dedicated, the VCI is polled by the same ProgressThread as the static
-  // dedicated baseline -- rotation overhead only during ramp-up.
+  // Dedicate eagerly (progress_engine.dedicate_hit_rate): epoch hit rates
+  // here top out around 0.1-0.3 because polls during the compute gap come
+  // up empty, so the default 0.5 would never give the hot VCI its own
+  // helper. Once dedicated, the VCI is polled by the same ProgressThread as
+  // the static dedicated baseline -- rotation overhead only during ramp-up.
   cfg.progress_engine.dedicate_hit_rate = 0.05;
-  // Tighter sleep rung (MPX_WAIT_SLEEP_MAX): caps the reaction latency of
+  // Tighter sleep rung (wait_sleep_max_us): caps the reaction latency of
   // idle helpers and engine threads (and of every blocking wait) at 16us
   // instead of the 64us default. Applied to all three variants alike.
   cfg.wait_sleep_max_us = 16;

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   // Checkpoints live on their own stream; a helper thread progresses it.
   // Between checkpoints its polls come up empty and it parks on the sleep
-  // rung of the MPX_WAIT_* ladder instead of burning a core.
+  // rung of the WorldConfig::wait_* ladder instead of burning a core.
   mpx::Stream ckpt_stream = world->stream_create(0);
   mpx::io::File ckpt =
       mpx::io::File::open(disk, "state.ckpt", ckpt_stream);

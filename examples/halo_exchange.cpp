@@ -49,7 +49,7 @@ void rank_body(mpx::World& world, int rank, int cells, int iters,
   halo.push_back(comm.send_init(&u[1], 1, dt, left, 1));
 
   // Background progress for the halo stream while we compute. Empty polls
-  // back off through the MPX_WAIT_* spin/yield/sleep ladder.
+  // back off through the WorldConfig::wait_* spin/yield/sleep ladder.
   mpx::task::ProgressThread helper(stream);
 
   double residual = 0.0;

@@ -1,8 +1,10 @@
 // mpx/base/cvar.hpp
 //
-// Runtime configuration variables ("CVARs"), MPICH-style: every tunable has a
-// compiled-in default overridable through an MPX_-prefixed environment
-// variable. WorldConfig consults these at construction.
+// Environment switches ("CVARs"), MPICH-style: a compiled-in default
+// overridable through an MPX_-prefixed environment variable. Only process-wide
+// diagnostics and test hooks read these (collective algorithm and cache
+// knobs, lock-rank checking, logging, pool passthrough, the model checker);
+// World tuning is WorldConfig's, set by whoever creates the World.
 #pragma once
 
 #include <cstddef>
@@ -13,7 +15,6 @@ namespace mpx::base {
 
 /// Read environment variable `name`; return `def` when unset or malformed.
 std::int64_t cvar_int(const char* name, std::int64_t def);
-double cvar_double(const char* name, double def);
 bool cvar_bool(const char* name, bool def);
 std::string cvar_string(const char* name, const std::string& def);
 

@@ -29,7 +29,7 @@
 // a one-way stream (payloads allocated by the sender, freed by the
 // receiver) keeps recycling through a refill: on a home miss the acquirer
 // takes a whole parked list from another shard, holding one shard lock at
-// a time. Each capacity cvar is a cap PER SHARD (per shard and size class
+// a time. Each capacity is a cap PER SHARD (per shard and size class
 // for payloads): at most kPoolShards * cap blocks stay parked. Stats are
 // exact sums over the shards at quiescence; a shard's own `live` may go
 // negative (frees land on the releasing thread's shard), only the sum is
@@ -130,10 +130,6 @@ class FreelistPool {
   FreelistPool(const FreelistPool&) = delete;
   FreelistPool& operator=(const FreelistPool&) = delete;
   ~FreelistPool() { drain(); }
-
-  /// Retune the parked-block cap (used by owners configured after
-  /// construction, e.g. a Vci sized from WorldConfig).
-  void set_max_free(std::size_t m) { max_free_ = m; }
 
   template <class... Args>
   T* acquire(Args&&... args) {
@@ -281,9 +277,12 @@ class FixedBlockPool {
 /// Power-of-two size-class pool behind pooled payload buffers. Blocks up
 /// to max_block() bytes are recycled per class; larger requests fall
 /// through to the allocator. Thread-safe (per-thread shards, each with one
-/// freelist per class capped at MPX_POOL_PAYLOAD_CAP).
+/// freelist per class capped at kCap).
 class PayloadPool {
  public:
+  /// Parked blocks per shard and size class.
+  static constexpr std::size_t kCap = 128;
+
   static PayloadPool& instance();
 
   /// Raw-block interface; `n` is the caller's requested byte count. The
@@ -291,7 +290,9 @@ class PayloadPool {
   std::byte* allocate(std::size_t n);
   void release(std::byte* p, std::size_t n) noexcept;
 
-  std::size_t max_block() const { return max_block_; }
+  static constexpr std::size_t max_block() {
+    return class_bytes(kClasses - 1);
+  }
   PoolStats stats() const { return lists_.stats(); }
 
  private:
@@ -302,9 +303,10 @@ class PayloadPool {
   static constexpr std::size_t kClasses = 11;  // 64 B .. 64 KiB
 
   static std::size_t class_of(std::size_t n);
-  static std::size_t class_bytes(std::size_t cls) { return kMinBlock << cls; }
+  static constexpr std::size_t class_bytes(std::size_t cls) {
+    return kMinBlock << cls;
+  }
 
-  std::size_t max_block_;
   pool_detail::ShardedFreelists<kClasses> lists_;
 };
 

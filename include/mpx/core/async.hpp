@@ -21,7 +21,6 @@
 #include <functional>
 #include <vector>
 
-#include "mpx/base/cvar.hpp"
 #include "mpx/base/intrusive.hpp"
 #include "mpx/base/pool.hpp"
 #include "mpx/core/stream.hpp"
@@ -101,11 +100,9 @@ class AsyncThing {
 
 namespace core_detail {
 /// Process-wide storage pool behind AsyncThing::operator new/delete
-/// (capacity: MPX_POOL_ASYNC_CAP parked blocks per shard).
+/// (capacity: 1024 parked blocks per shard).
 inline base::FixedBlockPool& async_thing_pool() {
-  static base::FixedBlockPool pool(
-      "async-thing", sizeof(AsyncThing),
-      static_cast<std::size_t>(base::cvar_int("MPX_POOL_ASYNC_CAP", 1024)));
+  static base::FixedBlockPool pool("async-thing", sizeof(AsyncThing), 1024);
   return pool;
 }
 }  // namespace core_detail

@@ -1,7 +1,8 @@
 // mpx/core/config.hpp
 //
-// World construction parameters. Defaults come from MPX_* environment CVARs
-// (MPICH-style) so benchmarks can sweep without recompiling.
+// World construction parameters. Plain data: a World reads only what its
+// creator set here, never the environment, so a bench or test that sweeps a
+// knob sets the field.
 #pragma once
 
 #include <cstddef>
@@ -24,22 +25,19 @@ class Transport;
 /// Tuning of the adaptive progress engine (task::ProgressEngine). Plain
 /// data held by WorldConfig so the engine, its tests, and its benches share
 /// one knob set; the engine itself lives in the task layer and reads this
-/// through World::config(). CVARs: MPX_ENGINE_*.
+/// through World::config().
 struct ProgressEngineConfig {
   /// Controller epoch length in microseconds: how often the per-VCI
   /// windowed rates are sampled and promote/demote decisions made.
-  /// CVAR: MPX_ENGINE_EPOCH_US.
   int epoch_us = 500;
 
   /// Ceiling on engine-owned threads polling VCIs: the one shared poller
   /// plus live dedicated helpers (the controller itself is not counted).
-  /// Promotions that would exceed it are deferred, not dropped. CVAR:
-  /// MPX_ENGINE_MAX_WORKERS.
+  /// Promotions that would exceed it are deferred, not dropped.
   int max_workers = 2;
 
   /// Promote shared -> dedicated when the engine's own polls on the VCI
-  /// hit (made progress) at or above this rate over the epoch. CVAR:
-  /// MPX_ENGINE_DEDICATE_RATE.
+  /// hit (made progress) at or above this rate over the epoch.
   double dedicate_hit_rate = 0.5;
 };
 
@@ -56,24 +54,18 @@ struct WorldConfig {
   /// Maximum number of VCIs (streams + the default VCI 0) per rank.
   int max_vcis = 16;
 
-  /// Shared-memory transport: eager cutover and ring capacity.
+  /// Shared-memory transport: eager cutover and ring capacity. The cell's
+  /// in-slot payload bytes and the per-poll delivery batch are
+  /// ShmTransport::kSlotBytes and kDeliverBatch.
   std::size_t shm_eager_max = 64 * 1024;
   std::size_t shm_cells = 64;
-  /// Inline payload capacity of each ring cell (payloads up to this size
-  /// are copied in-slot; larger eager payloads ride in a pooled block
-  /// referenced by the cell). CVAR: MPX_SHM_SLOT_BYTES.
-  std::size_t shm_slot_bytes = 256;
-  /// Max cells delivered per channel per poll under one acquire/publish
-  /// pair. CVAR: MPX_SHM_DELIVER_BATCH.
-  int shm_deliver_batch = 16;
   /// Shared-memory LMT copy chunk (receiver-side copy work per poll).
   std::size_t shm_lmt_chunk = 256 * 1024;
 
   /// Wait-loop backoff policy (request.cpp): spin this many empty progress
   /// rounds at full rate (<0 = spin forever), then sched-yield this many
   /// rounds (<0 = never sleep), then sleep with exponential backoff capped
-  /// at wait_sleep_max_us. Any progress resets the ladder. CVARs:
-  /// MPX_WAIT_SPIN, MPX_WAIT_YIELD, MPX_WAIT_SLEEP_MAX.
+  /// at wait_sleep_max_us. Any progress resets the ladder.
   int wait_spin = 200;
   int wait_yield = 32;
   /// Sleep-rung cap in microseconds. The whole ladder also paces every idle
@@ -84,7 +76,7 @@ struct WorldConfig {
 
   /// Adaptive progress engine tuning (task::ProgressEngine reads this
   /// through World::config(); constructing a World never starts engine
-  /// threads by itself). CVARs: MPX_ENGINE_*.
+  /// threads by itself).
   ProgressEngineConfig progress_engine;
 
   /// Simulated NIC thresholds: <= lightweight is buffered-and-forget
@@ -108,18 +100,13 @@ struct WorldConfig {
 
   /// Message-matching bins per VCI (rounded up to a power of two). Posted
   /// receives and unexpected messages are hashed by (context, source); 1
-  /// degenerates to the seed's single linear queue. CVAR: MPX_MATCH_BINS.
+  /// degenerates to the seed's single linear queue.
   int match_bins = 64;
-
-  /// Parked-block cap of each VCI's unexpected-message freelist.
-  /// CVAR: MPX_POOL_UNEXP_CAP.
-  int pool_unexp_cap = 256;
 
   /// Fair stage scheduling: each VCI keeps a rotation cursor and resumes
   /// the early-exit progress scan after the last productive stage, bounding
   /// how long a chatty early stage (e.g. a busy user async hook) can starve
   /// later ones. Off restores the seed's fixed scan-from-the-top order.
-  /// CVAR: MPX_PROGRESS_FAIR.
   bool progress_fair = true;
 
   /// Out-of-tree progress stages, appended to the registry after the
@@ -137,9 +124,6 @@ struct WorldConfig {
   /// extra_sources.
   std::vector<std::function<std::unique_ptr<transport::Transport>(World&)>>
       extra_transports;
-
-  /// Construct a config with defaults taken from MPX_* environment CVARs.
-  static WorldConfig from_env(int nranks);
 };
 
 }  // namespace mpx

@@ -35,7 +35,6 @@
 #include <memory>
 
 #include "mpx/base/buffer.hpp"
-#include "mpx/base/cvar.hpp"
 #include "mpx/base/intrusive.hpp"
 #include "mpx/base/pool.hpp"
 #include "mpx/base/status.hpp"
@@ -176,13 +175,15 @@ struct RequestImpl : base::RefCounted {
   bool cancelled = false;
 };
 
+/// Parked blocks per shard of request_pool().
+inline constexpr std::size_t kRequestPoolCap = 1024;
+
 /// Process-wide storage pool behind RequestImpl::operator new/delete.
-/// Capacity (parked blocks per shard) is MPX_POOL_REQUEST_CAP; under ASan or
-/// MPX_POOL_DISABLE=1 every block passes through the global allocator.
+/// Under ASan or MPX_POOL_DISABLE=1 every block passes through the global
+/// allocator.
 inline base::FixedBlockPool& request_pool() {
-  static base::FixedBlockPool pool(
-      "request", sizeof(RequestImpl),
-      static_cast<std::size_t>(base::cvar_int("MPX_POOL_REQUEST_CAP", 1024)));
+  static base::FixedBlockPool pool("request", sizeof(RequestImpl),
+                                   kRequestPoolCap);
   return pool;
 }
 

@@ -74,9 +74,9 @@ class Stream {
 /// stage table (datatype engine, collective schedules, user async hooks,
 /// registered extra sources, then one stage per transport, in registry
 /// order), early-exiting once progress is made. With fair scheduling
-/// (MPX_PROGRESS_FAIR, default on) successive calls resume the scan after
-/// the last productive stage, so a chatty early stage cannot starve the
-/// transports.
+/// (WorldConfig::progress_fair, default on) successive calls resume the
+/// scan after the last productive stage, so a chatty early stage cannot
+/// starve the transports.
 ///
 /// Returns nonzero when any progress was made.
 int stream_progress(const Stream& stream);

@@ -35,13 +35,12 @@
 
 namespace mpx::core_detail {
 
-/// Tunables (WorldConfig::wait_spin / wait_yield / wait_sleep_max_us;
-/// MPX_WAIT_SPIN / MPX_WAIT_YIELD / MPX_WAIT_SLEEP_MAX). Negative spin:
-/// spin forever (never yield or sleep — the paper's original full-rate
-/// loop). Negative yield: never sleep. sleep_max_us caps the exponential
-/// sleep rung. Blocking waits and the task-layer progress threads read the
-/// same World settings, so one set of cvars governs every idle poller in
-/// the process.
+/// Tunables (WorldConfig::wait_spin / wait_yield / wait_sleep_max_us).
+/// Negative spin: spin forever (never yield or sleep — the paper's original
+/// full-rate loop). Negative yield: never sleep. sleep_max_us caps the
+/// exponential sleep rung. Blocking waits and the task-layer progress
+/// threads read the same World settings, so one set of fields governs every
+/// idle poller in the process.
 struct WaitPolicy {
   int spin = 200;
   int yield = 32;

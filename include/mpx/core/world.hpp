@@ -182,7 +182,7 @@ class World : public std::enable_shared_from_this<World> {
   const core_detail::ProgressRegistry& progress_registry() const;
 
   /// The protocol tracer (§2.5 observability). Disabled (capacity 0) unless
-  /// WorldConfig::trace_capacity / MPX_TRACE_CAPACITY was set.
+  /// WorldConfig::trace_capacity was set.
   trace::Tracer& tracer();
 
   // --- topology control plane (ROADMAP items 1 and 5 build on this) ---

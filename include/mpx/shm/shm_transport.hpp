@@ -68,6 +68,13 @@ struct ShmStats {
 
 class ShmTransport final : public transport::Transport {
  public:
+  /// In-slot payload capacity of a ring cell: payloads up to this size are
+  /// copied into the cell, larger eager payloads ride in a pooled block the
+  /// cell references.
+  static constexpr std::size_t kSlotBytes = 256;
+  /// Cells delivered per channel per poll under one acquire/publish pair.
+  static constexpr int kDeliverBatch = 16;
+
   /// `nranks` endpoints, `max_vcis` channels each. `cells` per-channel ring
   /// slots (rounded up to a power of two), each holding up to `slot_bytes`
   /// of payload in-slot; poll() delivers at most `deliver_batch` cells per
@@ -75,7 +82,8 @@ class ShmTransport final : public transport::Transport {
   /// pairs (0 = every rank shares one node); `eager_max` is the rendezvous
   /// cutover advertised through limits().
   ShmTransport(int nranks, int max_vcis, std::size_t cells,
-               std::size_t slot_bytes = 256, int deliver_batch = 16,
+               std::size_t slot_bytes = kSlotBytes,
+               int deliver_batch = kDeliverBatch,
                int ranks_per_node = 0, std::size_t eager_max = 64 * 1024);
   ~ShmTransport() override;
 

@@ -19,10 +19,10 @@
 //               while it earns). Started on promotion, stopped on demotion.
 //
 // The shared poller starts on the first promotion to shared and runs until
-// stop(). MPX_ENGINE_MAX_WORKERS caps engine polling threads: the shared
-// poller plus live dedicated helpers.
+// stop(). WorldConfig::progress_engine.max_workers caps engine polling
+// threads: the shared poller plus live dedicated helpers.
 //
-// A controller thread ticks every MPX_ENGINE_EPOCH_US and samples, per
+// A controller thread ticks every progress_engine.epoch_us and samples, per
 // attached VCI: application progress calls (total progress_calls minus the
 // engine's own polls), pending work (in-flight requests plus async hooks),
 // the engine's own poll/hit rate, and the wait-ladder rung occupancy from
@@ -104,7 +104,7 @@ class EnginePolicy {
 
   /// One epoch's decision. `can_grow` reports whether the worker budget
   /// admits the promotion the policy may want this epoch (controller
-  /// enforces MPX_ENGINE_MAX_WORKERS); a matured promote streak with
+  /// enforces progress_engine.max_workers); a matured promote streak with
   /// can_grow == false is held, not reset — the promotion is deferred.
   EngineMode decide(EngineMode current, const EngineSample& s, bool can_grow);
 
@@ -119,8 +119,7 @@ class EnginePolicy {
 /// dedicated helpers on each promotion to dedicated) and everything stops
 /// and joins in stop()/the destructor. Constructing a World never creates
 /// one of these — the engine is opt-in, owned by the application or
-/// benchmark, configured through WorldConfig::progress_engine
-/// (MPX_ENGINE_* cvars).
+/// benchmark, configured through WorldConfig::progress_engine.
 ///
 /// Threading contract: engine threads only ever poll progress and descend
 /// the wait-ladder backoff — they block on nothing and acquire no
@@ -176,7 +175,7 @@ class ProgressEngine {
     /// benchmark reports keep their column.
     std::uint64_t steals = 0;
     /// Polling threads alive now: the shared poller plus dedicated helpers
-    /// (never more than MPX_ENGINE_MAX_WORKERS).
+    /// (never more than progress_engine.max_workers).
     int workers = 0;
     /// Aggregate idle-backoff rung occupancy of the shared poller and every
     /// dedicated helper, past and present (monotonic). A parked engine

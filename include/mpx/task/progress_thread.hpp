@@ -6,8 +6,9 @@
 // spins progress on exactly the stream(s) that need it, where it knows by
 // design that background progress is required. When progress is idle the
 // thread descends the same spin/yield/sleep ladder as every blocking wait
-// (wait_policy.hpp, MPX_WAIT_*), so an idle helper parks on the sleep rung
-// instead of burning a core (the MVAPICH-style tuning the paper cites).
+// (wait_policy.hpp, WorldConfig::wait_*), so an idle helper parks on the
+// sleep rung instead of burning a core (the MVAPICH-style tuning the paper
+// cites).
 //
 // It is the library's only engine/helper polling loop. The adaptive engine
 // (task::ProgressEngine) runs its dedicated mode on one of these per
@@ -46,7 +47,8 @@ class ProgressThread {
   /// Drive progress on one stream: the poll is stream_progress(stream).
   explicit ProgressThread(Stream stream);
   /// Drive an arbitrary poll: `poll` returns nonzero when it made progress.
-  /// The idle backoff follows `world`'s wait-ladder config (MPX_WAIT_*).
+  /// The idle backoff follows `world`'s wait-ladder config
+  /// (WorldConfig::wait_*).
   ProgressThread(const World& world, std::function<int()> poll);
   ~ProgressThread();
 

@@ -7,7 +7,7 @@
 // legs, completion), captured in a bounded ring per World.
 //
 // Off by default (zero records, one branch per emit site). Enable via
-// WorldConfig::trace_capacity or MPX_TRACE_CAPACITY=<n>.
+// WorldConfig::trace_capacity.
 #pragma once
 
 #include <cstdint>

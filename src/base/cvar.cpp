@@ -23,14 +23,6 @@ std::int64_t cvar_int(const char* name, std::int64_t def) {
   return (end != nullptr && *end == '\0') ? parsed : def;
 }
 
-double cvar_double(const char* name, double def) {
-  const char* v = get_env(name);
-  if (v == nullptr || *v == '\0') return def;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return (end != nullptr && *end == '\0') ? parsed : def;
-}
-
 bool cvar_bool(const char* name, bool def) {
   const char* v = get_env(name);
   if (v == nullptr || *v == '\0') return def;

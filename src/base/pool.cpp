@@ -1,6 +1,6 @@
 // Process-wide pool machinery: the passthrough switch, shard claims, the
 // sharded fixed-block and payload pools, and the stats registry. Pool
-// capacities come from MPX_POOL_* cvars, read once at pool construction.
+// capacities are compile-time constants fixed by each pool's owner.
 #include "mpx/base/pool.hpp"
 
 #include <algorithm>
@@ -336,13 +336,7 @@ void FixedBlockPool::deallocate(void* p) noexcept {
 
 // ---- PayloadPool ----
 
-PayloadPool::PayloadPool()
-    : max_block_(std::min(
-          static_cast<std::size_t>(cvar_int(
-              "MPX_POOL_PAYLOAD_MAX",
-              static_cast<std::int64_t>(class_bytes(kClasses - 1)))),
-          class_bytes(kClasses - 1))),
-      lists_(static_cast<std::size_t>(cvar_int("MPX_POOL_PAYLOAD_CAP", 128))) {
+PayloadPool::PayloadPool() : lists_(kCap) {
   pool_detail::register_pool(
       "payload", [](const void* self) {
         return static_cast<const PayloadPool*>(self)->stats();
@@ -388,9 +382,8 @@ void payload_deleter(std::byte* p, std::size_t n) noexcept {
 
 Buffer pooled_buffer(std::size_t n) {
   if (n == 0) return Buffer();
-  PayloadPool& pool = PayloadPool::instance();
-  if (n > pool.max_block()) return Buffer(n);
-  return Buffer(pool.allocate(n), n, &payload_deleter);
+  if (n > PayloadPool::max_block()) return Buffer(n);
+  return Buffer(PayloadPool::instance().allocate(n), n, &payload_deleter);
 }
 
 Buffer pooled_copy(ConstByteSpan src) {

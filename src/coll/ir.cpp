@@ -53,11 +53,7 @@ bool blocked(CollKind kind) {
 namespace {
 constexpr std::size_t kArenaAlign = 64;  // cache-line aligned arenas
 
-std::size_t scratch_cap() {
-  static const std::size_t cap = static_cast<std::size_t>(
-      base::cvar_int("MPX_COLL_SCRATCH_CAP", 8));
-  return cap;
-}
+constexpr std::size_t kScratchCap = 8;  // parked arenas per recycler
 }  // namespace
 
 ScratchRecycler::~ScratchRecycler() {
@@ -97,7 +93,7 @@ void ScratchRecycler::put(std::byte* p, std::size_t bytes) {
   base::LockGuard<base::Spinlock> g(mu_);
   expects(block_bytes_ == want, "ScratchRecycler: put of foreign arena");
   --st_.live;
-  if (st_.free_count < scratch_cap() && !base::pool_passthrough()) {
+  if (st_.free_count < kScratchCap && !base::pool_passthrough()) {
     Node* n = ::new (static_cast<void*>(p)) Node{free_};
     free_ = n;
     ++st_.free_count;

@@ -552,27 +552,14 @@ Algo select_algo(CollKind kind, std::size_t bytes, int size,
 
 // ---- count classes ---------------------------------------------------------
 
-namespace {
-
-int class_step() {
-  static const int step = [] {
-    const long s = base::cvar_int("MPX_COLL_CLASS_STEP", 1);
-    return static_cast<int>(s < 1 ? 1 : (s > 8 ? 8 : s));
-  }();
-  return step;
-}
-
-}  // namespace
-
 int count_class(std::size_t bytes) {
-  return static_cast<int>(std::bit_width(bytes)) / class_step();
+  return static_cast<int>(std::bit_width(bytes));
 }
 
 std::size_t class_max_bytes(int cls) {
-  const int w = (cls + 1) * class_step() - 1;
-  if (w <= 0) return 0;
-  if (w >= 48) return (std::size_t{1} << 48) - 1;  // clamp: plenty
-  return (std::size_t{1} << w) - 1;
+  if (cls <= 0) return 0;
+  if (cls >= 48) return (std::size_t{1} << 48) - 1;  // clamp: plenty
+  return (std::size_t{1} << cls) - 1;
 }
 
 // ---- compile ---------------------------------------------------------------

@@ -26,7 +26,6 @@
 
 #include "ir_internal.hpp"
 #include "mpx/base/buffer.hpp"
-#include "mpx/base/cvar.hpp"
 #include "mpx/base/pool.hpp"
 #include "mpx/core/progress_source.hpp"
 #include "mpx/core/world.hpp"
@@ -77,10 +76,7 @@ struct ExecCursor {
 };
 
 base::FixedBlockPool& cursor_pool() {
-  static base::FixedBlockPool pool(
-      "coll-cursor", sizeof(ExecCursor),
-      static_cast<std::size_t>(
-          base::cvar_int("MPX_COLL_CURSOR_POOL_CAP", 256)));
+  static base::FixedBlockPool pool("coll-cursor", sizeof(ExecCursor), 256);
   return pool;
 }
 

@@ -29,8 +29,8 @@ bool parts_same_length(const Part& a, const Part& b, std::uint32_t unit);
 
 // ir_compile.cpp ------------------------------------------------------------
 
-/// Count class of a byte length: bucketed bit-width (MPX_COLL_CLASS_STEP
-/// buckets per power of two, default 1).
+/// Count class of a byte length: its bit width, so class `c` holds the
+/// lengths in [2^(c-1), 2^c - 1].
 int count_class(std::size_t bytes);
 
 /// Largest byte length admitted by class `cls` (schedules are compiled and

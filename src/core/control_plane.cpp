@@ -7,7 +7,6 @@
 // publication protocol the mc suite explores.
 #include "world_layers.hpp"
 
-#include "mpx/base/cvar.hpp"
 #include "mpx/transport/builtin.hpp"
 
 namespace mpx {

@@ -25,15 +25,13 @@ std::unique_ptr<Vci> make_vci(World* w, int rank, int id,
   v->rank = rank;
   v->world = w;
   v->default_mask = mask;
-  // Size the matcher and pools before the VCI is published; nobody else can
-  // hold v->mu yet.
+  // Size the matcher before the VCI is published; nobody else can hold
+  // v->mu yet.
   const WorldConfig& cfg = w->config();
   const auto nbins =
       static_cast<std::size_t>(cfg.match_bins < 1 ? 1 : cfg.match_bins);
   v->posted.init(nbins);
   v->unexpected.init(nbins);
-  v->unexp_pool.set_max_free(static_cast<std::size_t>(
-      cfg.pool_unexp_cap < 0 ? 0 : cfg.pool_unexp_cap));
   // Compile the published registry into this VCI's stage table. The
   // source/mask halves never change afterwards; the embedded counters are
   // this VCI's own.

@@ -16,8 +16,9 @@ std::vector<std::unique_ptr<Transport>> make_builtin_transports(
     const WorldConfig& cfg, const base::Clock& clock) {
   std::vector<std::unique_ptr<Transport>> out;
   out.push_back(std::make_unique<shm::ShmTransport>(
-      cfg.nranks, cfg.max_vcis, cfg.shm_cells, cfg.shm_slot_bytes,
-      cfg.shm_deliver_batch, cfg.ranks_per_node, cfg.shm_eager_max));
+      cfg.nranks, cfg.max_vcis, cfg.shm_cells, shm::ShmTransport::kSlotBytes,
+      shm::ShmTransport::kDeliverBatch, cfg.ranks_per_node,
+      cfg.shm_eager_max));
   TransportLimits net_limits;
   net_limits.eager_max = cfg.net_eager_max;
   net_limits.lightweight_max = cfg.net_lightweight_max;
