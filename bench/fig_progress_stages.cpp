@@ -18,7 +18,9 @@
 //                     dispatch overhead of the registry scan vs a
 //                     hand-inlined ladder over identical stage bodies.
 //   registry_active0  the real stream_progress on an idle 1-rank World
-//                     (full stage table: dtype/coll/async/shm/lmt/nic).
+//                     (full stage table: dtype/async/shm/lmt/nic; the
+//                     collective executor's coll-exec stage registers only
+//                     in programs that link mpx::coll::ir).
 //   registry_active1  same, plus 1 registered user source that is never
 //                     idle (scan width grows by one).
 //   registry_active5  same, with 5 such sources.

@@ -3,7 +3,7 @@
 // Environment switches ("CVARs"), MPICH-style: a compiled-in default
 // overridable through an MPX_-prefixed environment variable. Only process-wide
 // diagnostics and test hooks read these (collective algorithm and cache
-// knobs, lock-rank checking, logging, pool passthrough, the model checker);
+// knobs, lock-rank checking, pool passthrough, the model checker);
 // World tuning is WorldConfig's, set by whoever creates the World.
 #pragma once
 

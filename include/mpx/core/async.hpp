@@ -125,10 +125,4 @@ void async_start(AsyncPollFn fn, void* extra_state, const Stream& stream,
 /// The callable is owned by the runtime and destroyed after done.
 void async_start(std::function<AsyncResult()> fn, const Stream& stream);
 
-/// Register a hook polled in the collective-schedules slot (stage 2 of the
-/// collated progress function, before user async things). Extension point
-/// for collective libraries — the MPIR_Progress_hook_register analog that
-/// lets "parts of MPI be built on top of a core MPI implementation" (§2.7).
-void coll_hook_start(AsyncPollFn fn, void* extra_state, const Stream& stream);
-
 }  // namespace mpx

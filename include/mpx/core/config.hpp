@@ -103,14 +103,8 @@ struct WorldConfig {
   /// degenerates to the seed's single linear queue.
   int match_bins = 64;
 
-  /// Fair stage scheduling: each VCI keeps a rotation cursor and resumes
-  /// the early-exit progress scan after the last productive stage, bounding
-  /// how long a chatty early stage (e.g. a busy user async hook) can starve
-  /// later ones. Off restores the seed's fixed scan-from-the-top order.
-  bool progress_fair = true;
-
   /// Out-of-tree progress stages, appended to the registry after the
-  /// in-tree dtype/coll/async sources and before the transport stages.
+  /// in-tree dtype/async sources and before the transport stages.
   /// Factories run during World construction; they may inspect
   /// World::config() and World::clock() but the World is not yet usable
   /// for communication.

@@ -1,10 +1,10 @@
 // mpx/core/progress_source.hpp
 //
 // The open half of the collated progress engine (paper Listing 1.1). A
-// ProgressSource is one pollable stage — dtype pack/unpack, collective
-// hooks, user async things, one stage per transport — registered into the
-// World-owned ProgressRegistry. make_vci compiles the registry into a
-// per-VCI ordered stage table (a flat array with per-stage hit/call
+// ProgressSource is one pollable stage — dtype pack/unpack, user async
+// things, the collective executor, one stage per transport — registered
+// into the World-owned ProgressRegistry. make_vci compiles the registry
+// into a per-VCI ordered stage table (a flat array with per-stage hit/call
 // counters) that progress_test iterates; the table is immutable after
 // World construction publishes the registry, so the hot loop reads it
 // without synchronization beyond the VCI lock it already holds.
@@ -50,7 +50,6 @@ int vci_poll(Vci& v, unsigned mask);
 enum class StageFastGate : std::uint8_t {
   external = 0,  ///< use virtual idle() (default for user sources)
   dtype,         ///< skip when the pack/unpack engine is idle
-  coll_hooks,    ///< skip when no collective schedules are registered
   async_hooks,   ///< skip when no user async things are registered
   lmt,           ///< skip when no mapped-memory copies are pending
 };

@@ -71,12 +71,11 @@ class Stream {
 
 /// MPIX_Stream_progress: advance all work attached to `stream` — the
 /// collated progress function of Listing 1.1. Polls the VCI's compiled
-/// stage table (datatype engine, collective schedules, user async hooks,
-/// registered extra sources, then one stage per transport, in registry
-/// order), early-exiting once progress is made. With fair scheduling
-/// (WorldConfig::progress_fair, default on) successive calls resume the
-/// scan after the last productive stage, so a chatty early stage cannot
-/// starve the transports.
+/// stage table (datatype engine, user async hooks, registered extra sources
+/// such as the collective executor, then one stage per transport, in
+/// registry order), early-exiting once progress is made. Successive calls
+/// resume the scan after the last productive stage, so a chatty early stage
+/// cannot starve the transports.
 ///
 /// Returns nonzero when any progress was made.
 int stream_progress(const Stream& stream);

@@ -34,7 +34,6 @@
 namespace mpx {
 
 namespace core_detail {
-struct RankCtx;
 struct Vci;
 class ProgressRegistry;
 class TopologyHandle;
@@ -96,7 +95,7 @@ class World : public std::enable_shared_from_this<World> {
   // --- finalize (paper: MPI_Finalize spins progress until async tasks done)
 
   /// Drive progress on every VCI of `rank` until all pending work (async
-  /// hooks, collective schedules, in-flight protocol ops) drains.
+  /// hooks, compiled collective schedules, in-flight protocol ops) drains.
   void finalize_rank(int rank);
 
   // --- instrumentation ---
@@ -105,18 +104,6 @@ class World : public std::enable_shared_from_this<World> {
   base::MutexStats vci_lock_stats(int rank, int vci) const;
   /// Progress-call count of (rank, vci).
   std::uint64_t vci_progress_calls(int rank, int vci) const;
-
-  /// Per-stage progress-made counters of (rank, vci), folded by ProgressMask
-  /// bit for the classic Listing 1.1 view (stages sharing a bit — e.g. the
-  /// transport poll and the LMT copy stage, both progress_shm — sum).
-  struct StageCounters {
-    std::uint64_t dtype = 0;
-    std::uint64_t coll = 0;
-    std::uint64_t async = 0;
-    std::uint64_t shm = 0;
-    std::uint64_t net = 0;
-  };
-  StageCounters vci_stage_counters(int rank, int vci) const;
 
   /// The full compiled stage table of (rank, vci): one row per registered
   /// ProgressSource, in poll order, with its per-VCI hit/call counters.
@@ -140,9 +127,9 @@ class World : public std::enable_shared_from_this<World> {
   WaitRungCounters vci_wait_rungs(int rank, int vci) const;
 
   /// Pending work on (rank, vci): in-flight p2p/coll requests plus linked
-  /// (or mailboxed) async and collective hooks — the "is there work pending
-  /// on this endpoint" signal the adaptive progress engine samples
-  /// (lock-free relaxed reads).
+  /// (or mailboxed) async hooks — the "is there work pending on this
+  /// endpoint" signal the adaptive progress engine samples (lock-free
+  /// relaxed reads).
   std::int64_t vci_pending(int rank, int vci) const;
 
   /// Matching-engine depths of (rank, vci): pending posted receives and
@@ -154,16 +141,7 @@ class World : public std::enable_shared_from_this<World> {
   };
   MatchCounters vci_match_counters(int rank, int vci) const;
 
-  /// Counters of (rank, vci)'s unexpected-message freelist. Process-wide
-  /// pools (request, async-thing, payload) are reported through
-  /// base::pool_registry_snapshot() instead.
-  base::PoolStats vci_unexp_pool_stats(int rank, int vci) const;
-
   // --- transports ---
-
-  /// Ordered transport list (routing order: extras, then shm, then nic).
-  std::size_t transport_count() const;
-  transport::Transport& transport_at(std::size_t i) const;
 
   /// Transport lookup by name() ("shm", "nic", ...); nullptr when absent.
   /// Tests downcast through this instead of World naming concrete types.
@@ -205,7 +183,6 @@ class World : public std::enable_shared_from_this<World> {
   void swap_topology_for_test(int a, int b, transport::Transport& t);
 
   // --- internal access (runtime layers; not for applications) ---
-  core_detail::RankCtx& rank_ctx(int rank);
   core_detail::Vci& vci(int rank, int vci_id);
   /// The datapath's topology publication point (TopoRef pins through it).
   const core_detail::TopologyHandle& topology() const;

@@ -10,8 +10,11 @@
 // round boundary only gates when completions are *observed* and when local
 // ops run; it cannot defer initiation of later communication. Contrast with
 // the compiled collective schedules of mpx::coll::ir, which post each node
-// only once its dependencies complete. The abl_continue_vs_async bench
-// family quantifies the difference.
+// only once its dependencies complete. Nothing measures the difference yet;
+// ROADMAP item 2 holds the bench row that would.
+//
+// A committed schedule is polled as a user async hook on its stream's async
+// stage; one still pending when its World is destroyed is freed then.
 #pragma once
 
 #include <functional>

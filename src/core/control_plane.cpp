@@ -210,9 +210,8 @@ void World::stream_free(Stream& stream) {
   Vci& v = vci(stream.rank(), stream.vci());
   {
     base::LockGuard<base::InstrumentedMutex> g(v.mu);
-    expects(v.asyncs.empty() && v.coll_hooks.empty() && v.posted.empty() &&
-                v.lmt.empty() && v.fence_parked.empty() &&
-                v.synth_cq.empty() &&
+    expects(v.asyncs.empty() && v.posted.empty() && v.lmt.empty() &&
+                v.fence_parked.empty() && v.synth_cq.empty() &&
                 v.active_ops.load(std::memory_order_relaxed) == 0,
             "stream_free: stream still has pending work");
     for (const core_detail::ProgressStage& st : v.stages) {
@@ -256,11 +255,10 @@ void World::finalize_rank(int rank) {
       core_detail::progress_test(v, progress_all);
       base::LockGuard<base::InstrumentedMutex> g(v.mu);
       bool idle =
-          v.asyncs.empty() && v.coll_hooks.empty() && v.lmt.empty() &&
-          v.fence_parked.empty() && v.synth_cq.empty() &&
-          v.pack_engine.idle() &&
+          v.asyncs.empty() && v.lmt.empty() && v.fence_parked.empty() &&
+          v.synth_cq.empty() && v.pack_engine.idle() &&
           v.active_ops.load(std::memory_order_relaxed) == 0 &&
-          v.inbox_asyncs.maybe_empty() && v.inbox_coll.maybe_empty();
+          v.inbox_asyncs.maybe_empty();
       // Registered sources may hold deferred work the member lists above
       // don't see (e.g. a compiled collective schedule whose requests all
       // completed but whose local reduce tail hasn't run yet).
@@ -276,15 +274,6 @@ void World::finalize_rank(int rank) {
     }
     if (quiet) return;
   }
-}
-
-std::size_t World::transport_count() const {
-  return s_->ctl.transports.size();
-}
-
-transport::Transport& World::transport_at(std::size_t i) const {
-  expects(i < s_->ctl.transports.size(), "transport_at: index out of range");
-  return *s_->ctl.transports[i];
 }
 
 transport::Transport* World::find_transport(std::string_view name) const {

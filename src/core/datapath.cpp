@@ -36,7 +36,6 @@ std::unique_ptr<Vci> make_vci(World* w, int rank, int id,
   // source/mask halves never change afterwards; the embedded counters are
   // this VCI's own.
   v->stages = w->progress_registry().compile();
-  v->fair = cfg.progress_fair;
   v->sink = make_vci_sink(*v);
   return v;
 }
@@ -53,10 +52,6 @@ core_detail::Vci* World::vci_ptr(int rank, int vci_id) const {
           "vci id out of range");
   return rc.slots[static_cast<std::size_t>(vci_id)].load(
       std::memory_order_acquire);
-}
-
-RankCtx& World::rank_ctx(int rank) {
-  return *s_->dp.ranks[static_cast<std::size_t>(rank)];
 }
 
 Vci& World::vci(int rank, int vci_id) { return *vci_ptr(rank, vci_id); }
@@ -94,23 +89,6 @@ std::uint64_t World::vci_progress_calls(int rank, int vci_id) const {
   return v.progress_calls;
 }
 
-World::StageCounters World::vci_stage_counters(int rank, int vci_id) const {
-  Vci& v = *vci_ptr(rank, vci_id);
-  base::LockGuard<base::InstrumentedMutex> g(v.mu);
-  StageCounters c;
-  for (const core_detail::ProgressStage& st : v.stages) {
-    switch (st.mask) {
-      case progress_dtype: c.dtype += st.hits; break;
-      case progress_coll: c.coll += st.hits; break;
-      case progress_async: c.async += st.hits; break;
-      case progress_shm: c.shm += st.hits; break;
-      case progress_net: c.net += st.hits; break;
-      default: break;  // progress_user stages: vci_stage_table only
-    }
-  }
-  return c;
-}
-
 std::vector<World::StageCounter> World::vci_stage_table(int rank,
                                                         int vci_id) const {
   Vci& v = *vci_ptr(rank, vci_id);
@@ -144,12 +122,6 @@ World::MatchCounters World::vci_match_counters(int rank, int vci_id) const {
   c.posted = v.posted.size();
   c.unexpected = v.unexpected.size();
   return c;
-}
-
-base::PoolStats World::vci_unexp_pool_stats(int rank, int vci_id) const {
-  Vci& v = *vci_ptr(rank, vci_id);
-  base::LockGuard<base::InstrumentedMutex> g(v.mu);
-  return v.unexp_pool.stats();
 }
 
 }  // namespace mpx

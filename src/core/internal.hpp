@@ -131,17 +131,16 @@ struct alignas(64) Vci {
   /// hot path, unlike the process-wide request/payload pools.
   base::FreelistPool<UnexpMsg> unexp_pool MPX_GUARDED_BY(mu);
 
-  // Progress subsystems, in Listing 1.1 order.
+  // Progress subsystems, in stage-table order. The collective executor's
+  // per-VCI state lives in its own registered source (coll-exec).
   dtype::PackEngine pack_engine MPX_GUARDED_BY(mu);   // (1) datatype engine
-  AsyncRuntime::List coll_hooks MPX_GUARDED_BY(mu);   // (2) coll schedules
-  AsyncRuntime::List asyncs MPX_GUARDED_BY(mu);       // (3) user async things
-  std::list<LmtWork> lmt MPX_GUARDED_BY(mu);          // (4a) shm LMT copies
+  AsyncRuntime::List asyncs MPX_GUARDED_BY(mu);       // (2) user async things
+  std::list<LmtWork> lmt MPX_GUARDED_BY(mu);          // (3) shm LMT copies
 
-  // Cross-thread registration mailboxes, drained at the top of each
-  // progress call (avoids nested VCI locks on spawn-to-other-stream).
-  // Internally locked; safe to push from any thread without holding `mu`.
+  // Cross-thread registration mailbox, drained at the top of each progress
+  // call (avoids nested VCI locks on spawn-to-other-stream). Internally
+  // locked; safe to push from any thread without holding `mu`.
   base::MpscQueue<AsyncThing*> inbox_asyncs;
-  base::MpscQueue<AsyncThing*> inbox_coll;
 
   // Protocol sink for transport polls (constructed by protocol.cpp before
   // the VCI is published; the sink itself must only be *invoked* under mu).
@@ -172,7 +171,7 @@ struct alignas(64) Vci {
   // Raw std::atomic on purpose: lock-free accounting read by fast paths,
   // not modeled protocol state (the queues they mirror are).
   std::atomic<std::int64_t> active_ops{0};  ///< in-flight p2p/coll requests — mpxlint: allow(mc-coverage)
-  std::atomic<std::int64_t> hook_count{0};  ///< linked async+coll hooks — mpxlint: allow(mc-coverage)
+  std::atomic<std::int64_t> hook_count{0};  ///< linked+mailboxed async hooks — mpxlint: allow(mc-coverage)
   /// Wait-ladder rung occupancy of blocking waits driving THIS VCI
   /// (request.cpp wires every wait loop's backoff here). The adaptive
   /// progress engine's controller reads the deltas: waiters stuck on the
@@ -188,10 +187,8 @@ struct alignas(64) Vci {
   /// Fair-scheduling rotation cursor: index of the stage the next
   /// progress_test scan starts from (always < stages.size()). Advanced past
   /// the productive stage on every hit so a chatty early stage cannot
-  /// starve later ones. Unused (stays 0) when !fair.
+  /// starve later ones.
   std::uint32_t stage_cursor MPX_GUARDED_BY(mu) = 0;
-  /// WorldConfig::progress_fair, frozen at make_vci.
-  bool fair = true;  // mpxlint: allow(tsa-ratchet) immutable after publish
 };
 
 /// Per-rank state: the VCI table. Storage is fixed at max_vcis slots so the
@@ -391,7 +388,7 @@ std::unique_ptr<transport::TransportSink> make_vci_sink(Vci& v);
 /// after the mapped-memory transport's poll stage).
 void lmt_progress(Vci& v, int* made_progress) MPX_REQUIRES(v.mu);
 
-/// Register the in-tree non-transport sources (dtype, coll, async), in
+/// Register the in-tree non-transport sources (dtype, async), in
 /// Listing 1.1 order. Called once by the World constructor.
 void register_builtin_sources(ProgressRegistry& reg);
 

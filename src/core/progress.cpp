@@ -1,16 +1,14 @@
 // The collated progress engine (paper Listing 1.1) and the MPIX_Async
 // runtime (§3.3). Stages are no longer hardwired: each VCI carries a
-// compiled table of ProgressSources (dtype engine, collective schedules,
-// user async things, registered extras, then one stage per transport with
-// the LMT copy stage behind the mapped-memory transport), scanned with an
-// early exit as soon as progress is made — exactly MPICH's
+// compiled table of ProgressSources (dtype engine, user async things,
+// registered extras such as the collective executor, then one stage per
+// transport with the LMT copy stage behind the mapped-memory transport),
+// scanned with an early exit as soon as progress is made — exactly MPICH's
 // MPIDI_progress_test shape, with the stage list open for registration.
 //
-// Fair scheduling (WorldConfig::progress_fair, default on): the scan
-// resumes one past the last productive stage, so with S stages a stage
-// waits at most S calls for its next poll even when an earlier stage is
-// productive on every call. Off restores the seed's fixed
-// scan-from-the-top order (a chatty early stage can then starve the rest).
+// Fair scheduling: the scan resumes one past the last productive stage, so
+// with S stages a stage waits at most S calls for its next poll even when
+// an earlier stage is productive on every call.
 #include "internal.hpp"
 
 namespace mpx {
@@ -32,13 +30,8 @@ Vci::~Vci() {
   // Release anything still owned at world teardown: unfinished hooks
   // (~AsyncThing runs their state deleters), never-matched unexpected
   // messages, never-matched posted receives.
-  auto drop_hooks = [](AsyncRuntime::List& list) {
-    while (AsyncThing* t = list.pop_front()) delete t;
-  };
-  drop_hooks(asyncs);
-  drop_hooks(coll_hooks);
+  while (AsyncThing* t = asyncs.pop_front()) delete t;
   while (auto t = inbox_asyncs.try_pop()) delete *t;
-  while (auto t = inbox_coll.try_pop()) delete *t;
   // Sends still parked behind a fence and completion events never
   // synthesized both carry protocol references; adopt-and-drop them so a
   // world torn down mid-swap doesn't leak the requests.
@@ -61,40 +54,29 @@ namespace {
 /// registration from the VCI lock, so spawning onto another stream from
 /// inside a poll function cannot deadlock.
 void enqueue_hook(AsyncPollFn fn, void* state, const Stream& s,
-                  bool coll_stage,
-                  AsyncThing::StateDeleter deleter = nullptr) {
+                  AsyncThing::StateDeleter deleter) {
   Vci& v = s.world().vci(s.rank(), s.vci());
   expects(v.active.load(std::memory_order_acquire),
           "async_start: stream has been freed");
   AsyncThing* t = AsyncRuntime::make(fn, state, s, deleter);
   v.hook_count.fetch_add(1, std::memory_order_relaxed);
-  (coll_stage ? v.inbox_coll : v.inbox_asyncs).push(std::move(t));
+  v.inbox_asyncs.push(std::move(t));
 }
 
-/// Move newly-registered hooks from a mailbox onto a poll list. The list is
-/// one of v's guarded hook lists, hence the lock requirement.
-void drain_inbox(Vci& v, base::MpscQueue<AsyncThing*>& inbox,
-                 AsyncRuntime::List& list) MPX_REQUIRES(v.mu) {
-  (void)v;
-  while (auto t = inbox.try_pop()) list.push_back(*t);
-}
-
-/// Poll every hook in `list` once. A hook returning done is unlinked and
-/// destroyed and counts as progress; pending hooks do not.
-void poll_hooks(Vci& v, AsyncRuntime::List& list, int* made)
-    MPX_REQUIRES(v.mu) {
-  list.for_each_safe([&](AsyncThing* t) {
+/// Poll every hook on v's async list once. A hook returning done is
+/// unlinked and destroyed and counts as progress; pending hooks do not.
+void poll_hooks(Vci& v, int* made) MPX_REQUIRES(v.mu) {
+  v.asyncs.for_each_safe([&](AsyncThing* t) {
     const AsyncResult r = AsyncRuntime::fn(*t)(*t);
     if (AsyncRuntime::has_spawned(*t)) {
       // Spawned tasks are staged inside the thing and registered after
       // poll_fn returns (paper: avoids recursion / queue self-mutation).
       for (auto& rec : AsyncRuntime::take_spawned(*t)) {
-        enqueue_hook(rec.fn, rec.state, rec.stream, /*coll_stage=*/false,
-                     rec.deleter);
+        enqueue_hook(rec.fn, rec.state, rec.stream, rec.deleter);
       }
     }
     if (r == AsyncResult::done) {
-      list.erase(t);
+      v.asyncs.erase(t);
       // Done means poll_fn already released the state (paper contract);
       // disarm so ~AsyncThing does not free it a second time.
       AsyncRuntime::disarm(*t);
@@ -127,21 +109,6 @@ class DtypeSource final : public ProgressSource {
   }
 };
 
-class CollSource final : public ProgressSource {
- public:
-  const char* name() const override { return "coll"; }
-  unsigned mask_bit() const override { return progress_coll; }
-  StageFastGate fast_gate() const override {
-    return StageFastGate::coll_hooks;
-  }
-  bool idle(Vci& v) override MPX_NO_THREAD_SAFETY_ANALYSIS {
-    return v.coll_hooks.empty();
-  }
-  void poll(Vci& v, int* made) override MPX_NO_THREAD_SAFETY_ANALYSIS {
-    poll_hooks(v, v.coll_hooks, made);
-  }
-};
-
 class AsyncSource final : public ProgressSource {
  public:
   const char* name() const override { return "async"; }
@@ -153,7 +120,7 @@ class AsyncSource final : public ProgressSource {
     return v.asyncs.empty();
   }
   void poll(Vci& v, int* made) override MPX_NO_THREAD_SAFETY_ANALYSIS {
-    poll_hooks(v, v.asyncs, made);
+    poll_hooks(v, made);
   }
 };
 
@@ -217,7 +184,6 @@ const std::vector<StaticSourceFactory>& static_source_factories() {
 
 void register_builtin_sources(ProgressRegistry& reg) {
   reg.add(std::make_unique<DtypeSource>());
-  reg.add(std::make_unique<CollSource>());
   reg.add(std::make_unique<AsyncSource>());
 }
 
@@ -244,14 +210,13 @@ int progress_test(Vci& v, unsigned mask) {
 
   // Empty-stage fast path: hook_count covers linked hooks AND mailbox
   // entries (enqueue_hook increments before pushing), so when it reads zero
-  // both mailbox spinlocks can be skipped outright. A racing registration
+  // the mailbox spinlock can be skipped outright. A racing registration
   // is picked up by a later progress call — polling may lag registration.
-  // Relaxed: the counter only gates whether we take the mailbox locks,
-  // which provide the actual ordering; there is no release store to pair
+  // Relaxed: the counter only gates whether we take the mailbox lock,
+  // which provides the actual ordering; there is no release store to pair
   // an acquire with (both RMWs are relaxed).
   if (v.hook_count.load(std::memory_order_relaxed) != 0) {
-    drain_inbox(v, v.inbox_coll, v.coll_hooks);
-    drain_inbox(v, v.inbox_asyncs, v.asyncs);
+    while (auto t = v.inbox_asyncs.try_pop()) v.asyncs.push_back(*t);
   }
 
   // Topology-swap follow-up work, ahead of the stage scan. Both lists are
@@ -273,15 +238,14 @@ int progress_test(Vci& v, unsigned mask) {
   }
 
   // Scan the compiled stage table with early exit on first progress,
-  // starting at the rotation cursor (fair) or the top (seed order). Each
-  // source owns its skip condition via idle(); skipped stages don't count
-  // as calls.
+  // starting at the rotation cursor. Each source owns its skip condition
+  // via idle(); skipped stages don't count as calls.
   // Hoisted locals: the table is immutable while v.mu is held, but the
   // virtual poll/idle calls are opaque to the compiler, which would
   // otherwise reload data()/size() after every stage.
   ProgressStage* const stages = v.stages.data();
   const std::size_t n = v.stages.size();
-  const std::size_t start = v.fair ? v.stage_cursor : 0;
+  const std::size_t start = v.stage_cursor;
   int made = 0;
   // Two linear passes ([start,n) then [0,start)) instead of modular index
   // arithmetic per stage — the wrap cost would be paid on every iteration
@@ -300,9 +264,6 @@ int progress_test(Vci& v, unsigned mask) {
         case StageFastGate::dtype:
           if (v.pack_engine.idle()) continue;
           break;
-        case StageFastGate::coll_hooks:
-          if (v.coll_hooks.empty()) continue;
-          break;
         case StageFastGate::async_hooks:
           if (v.asyncs.empty()) continue;
           break;
@@ -318,9 +279,7 @@ int progress_test(Vci& v, unsigned mask) {
       if (made != 0) {
         ++st.hits;
         trace_emit(v, trace::Event::progress, -1, -1, 0, i);
-        if (v.fair) {
-          v.stage_cursor = static_cast<std::uint32_t>(i + 1 == n ? 0 : i + 1);
-        }
+        v.stage_cursor = static_cast<std::uint32_t>(i + 1 == n ? 0 : i + 1);
         return made;
       }
     }
@@ -355,12 +314,6 @@ void complete_request(RequestImpl* r, Err err) {
 
 }  // namespace core_detail
 
-void coll_hook_start(AsyncPollFn fn, void* extra_state, const Stream& stream) {
-  expects(fn != nullptr, "coll_hook_start: null poll function");
-  expects(stream.valid(), "coll_hook_start: invalid stream");
-  core_detail::enqueue_hook(fn, extra_state, stream, /*coll_stage=*/true);
-}
-
 int stream_progress(const Stream& stream) {
   // Not delegated to the two-arg overload: this is the wait-loop hot path
   // and would pay the validity expects() twice.
@@ -379,8 +332,7 @@ void async_start(AsyncPollFn fn, void* extra_state, const Stream& stream,
                  AsyncThing::StateDeleter state_deleter) {
   expects(fn != nullptr, "async_start: null poll function");
   expects(stream.valid(), "async_start: invalid stream");
-  core_detail::enqueue_hook(fn, extra_state, stream, /*coll_stage=*/false,
-                            state_deleter);
+  core_detail::enqueue_hook(fn, extra_state, stream, state_deleter);
 }
 
 namespace {

@@ -67,7 +67,8 @@ Request Schedule::commit(std::unique_ptr<Schedule> sched) {
   s->handle_ = s->world_->grequest_start(s->stream_,
                                          core_detail::GrequestFns{});
   Request out = s->handle_;
-  coll_hook_start(&Schedule::poll_trampoline, s, s->stream_);
+  async_start(&Schedule::poll_trampoline, s, s->stream_,
+              [](void* p) { delete static_cast<Schedule*>(p); });
   return out;
 }
 

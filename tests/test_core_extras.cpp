@@ -3,6 +3,7 @@
 // persistent operations.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -10,6 +11,20 @@
 #include "test_util.hpp"
 
 using namespace mpx;
+
+namespace {
+
+/// Progress-made hits of (rank, vci 0)'s stages gated by `mask`, summed over
+/// the compiled stage table (the shm poll and the LMT copy stage share a bit).
+std::uint64_t stage_hits(const World& w, int rank, unsigned mask) {
+  std::uint64_t hits = 0;
+  for (const World::StageCounter& st : w.vci_stage_table(rank, 0)) {
+    if (st.mask == mask) hits += st.hits;
+  }
+  return hits;
+}
+
+}  // namespace
 
 TEST(Pack, AsyncPackProgressesInChunks) {
   auto w = World::create(WorldConfig{.nranks = 1});
@@ -56,12 +71,10 @@ TEST(Pack, AsyncUnpackRoundTrip) {
 TEST(Pack, DatatypeStageRunsBeforeOthers) {
   // The dtype engine is stage 1: when it has work, a progress call services
   // it and early-exits (Listing 1.1 skip semantics) — observable as the
-  // async hook NOT being polled while a pack is pending. Strict priority
-  // holds only with fair rotation off; the default rotating scan trades it
-  // for starvation freedom (see test_progress_fairness.cpp).
-  WorldConfig cfg{.nranks = 1};
-  cfg.progress_fair = false;
-  auto w = World::create(cfg);
+  // async hook NOT being polled by the call that services a pending pack.
+  // No stage has hit before that call, so its scan starts at the top; later
+  // calls resume past the dtype stage (test_progress_fairness.cpp).
+  auto w = World::create(WorldConfig{.nranks = 1});
   Stream s = w->null_stream(0);
   std::vector<std::int32_t> src(1024, 3);
   std::vector<std::byte> packed(4096);
@@ -79,8 +92,7 @@ TEST(Pack, DatatypeStageRunsBeforeOthers) {
   Request r = ipack(src.data(), 1024, dtype::Datatype::int32(), packed, s,
                     1024);
   stream_progress(s);  // dtype stage makes progress -> early exit
-  stream_progress(s);
-  EXPECT_EQ(hook_polls, 1);  // hook starved while the pack engine is busy
+  EXPECT_EQ(hook_polls, 1);  // hook not reached by the servicing call
   while (!r.is_complete()) stream_progress(s);
   stream_progress(s);
   EXPECT_GE(hook_polls, 2);  // resumes after the pack drains
@@ -224,32 +236,28 @@ TEST(StageCounters, CollationOrderObservable) {
   std::int32_t x = 1, y = 0;
   w->comm_world(0).isend(&x, 1, dtype::Datatype::int32(), 1, 0);
   w->comm_world(1).recv(&y, 1, dtype::Datatype::int32(), 0, 0);
-  auto c = w->vci_stage_counters(1, 0);
-  EXPECT_GT(c.shm, 0u);
-  EXPECT_EQ(c.dtype, 0u);
-  EXPECT_EQ(c.net, 0u);
+  EXPECT_GT(stage_hits(*w, 1, progress_shm), 0u);
+  EXPECT_EQ(stage_hits(*w, 1, progress_dtype), 0u);
+  EXPECT_EQ(stage_hits(*w, 1, progress_net), 0u);
 
   // A completing async hook lands in the async stage.
   async_start([]() { return AsyncResult::done; }, s1);
   stream_progress(s1);
-  c = w->vci_stage_counters(1, 0);
-  EXPECT_EQ(c.async, 1u);
+  EXPECT_EQ(stage_hits(*w, 1, progress_async), 1u);
 
-  // A collective drives the coll stage.
+  // A collective drives the collective executor stage (coll-exec).
   mpx_test::run_ranks(*w, [&](int rank) {
     coll::barrier(w->comm_world(rank));
     w->finalize_rank(rank);
   });
-  c = w->vci_stage_counters(1, 0);
-  EXPECT_GT(c.coll, 0u);
+  EXPECT_GT(stage_hits(*w, 1, progress_coll), 0u);
 
   // An async pack drives the dtype stage.
   std::vector<std::int32_t> src(64, 2);
   std::vector<std::byte> packed(256);
   Request r = ipack(src.data(), 64, dtype::Datatype::int32(), packed, s1, 64);
   while (!r.is_complete()) stream_progress(s1);
-  c = w->vci_stage_counters(1, 0);
-  EXPECT_GT(c.dtype, 0u);
+  EXPECT_GT(stage_hits(*w, 1, progress_dtype), 0u);
 }
 
 TEST(StageCounters, NetStageOnNicPath) {
@@ -257,7 +265,6 @@ TEST(StageCounters, NetStageOnNicPath) {
   std::int32_t x = 1, y = 0;
   w->comm_world(0).isend(&x, 1, dtype::Datatype::int32(), 1, 0);
   w->comm_world(1).recv(&y, 1, dtype::Datatype::int32(), 0, 0);
-  const auto c = w->vci_stage_counters(1, 0);
-  EXPECT_GT(c.net, 0u);
-  EXPECT_EQ(c.shm, 0u);
+  EXPECT_GT(stage_hits(*w, 1, progress_net), 0u);
+  EXPECT_EQ(stage_hits(*w, 1, progress_shm), 0u);
 }

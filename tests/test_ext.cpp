@@ -133,3 +133,19 @@ TEST(Schedule, CompletionPointBeforeLastRound) {
   w->finalize_rank(0);
   EXPECT_EQ(b, 20);
 }
+
+TEST(Schedule, PendingScheduleFreedAtTeardown) {
+  // A schedule gated on a receive that never matches is still registered
+  // when the World goes away; teardown must free it (the leak check of the
+  // sanitizer build catches a schedule nobody deletes).
+  auto w = World::create(WorldConfig{.nranks = 2});
+  std::int32_t never = 0;
+  Request rr =
+      w->comm_world(1).irecv(&never, 1, dtype::Datatype::int32(), 0, 0);
+  auto sched = std::make_unique<ext::Schedule>(*w, w->null_stream(1));
+  sched->add_operation(rr);
+  Request handle = ext::Schedule::commit(std::move(sched));
+
+  stream_progress(w->null_stream(1));
+  EXPECT_FALSE(handle.is_complete());
+}

@@ -9,9 +9,8 @@
 //  2. The cursor never skips a source: with an always-productive stage A
 //     registered ahead of a counting stage B, fair rotation must still
 //     poll B — the scan resumes after A's hit, so B is reached within two
-//     consecutive progress calls (the seed's fixed order would starve B
-//     forever; that contrast is asserted natively in
-//     test_progress_fairness.cpp).
+//     consecutive progress calls (a scan from the top would starve B
+//     forever; test_progress_fairness.cpp shows the same bound natively).
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -1,13 +1,13 @@
-// Fair stage scheduling (MPX_PROGRESS_FAIR): the rotation cursor bounds how
-// long an always-productive early stage can starve later ones.
+// Fair stage scheduling: each VCI's rotation cursor bounds how long an
+// always-productive early stage can starve later ones.
 //
 // The hostile workload is a user async hook that reports progress on every
 // poll (it completes and respawns itself, so the async stage's early-exit
-// fires each call). Under the seed's fixed scan-from-the-top order that
-// starves every stage behind it — shm delivery included — indefinitely.
-// With fair rotation (the default) the cursor resumes the scan after the
-// productive stage, so the transport stage is polled within one extra
-// progress call and a pending receive completes.
+// fires each call). A scan that always started from the top of the stage
+// table would starve every stage behind it — shm delivery included —
+// indefinitely. The cursor resumes the scan after the productive stage, so
+// the transport stage is polled within one extra progress call and a
+// pending receive completes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -43,10 +43,8 @@ struct Harness {
   std::atomic<int> rounds{0};
   std::atomic<bool> stop{false};
 
-  explicit Harness(bool fair) {
-    WorldConfig cfg{.nranks = 2};
-    cfg.progress_fair = fair;
-    w = World::create(cfg);
+  Harness() {
+    w = World::create(WorldConfig{.nranks = 2});
     async_start(&hostile_poll, new HostileState{&rounds, &stop},
                 w->null_stream(1),
                 [](void* p) { delete static_cast<HostileState*>(p); });
@@ -64,7 +62,7 @@ struct Harness {
 }  // namespace
 
 TEST(ProgressFairness, TransportPolledDespiteProductiveHook) {
-  Harness h(/*fair=*/true);
+  Harness h;
   std::int32_t val = 42, out = 0;
   Request r = h.w->comm_world(1).irecv(&out, 1, dtype::Datatype::int32(),
                                        /*src=*/0, /*tag=*/3);
@@ -74,7 +72,7 @@ TEST(ProgressFairness, TransportPolledDespiteProductiveHook) {
 
   // Fairness bound: the hostile hook hits once, the cursor moves past the
   // async stage, and the shm stage delivers on the next scan. A handful of
-  // calls is a generous ceiling; the seed order never completes this.
+  // calls is a generous ceiling; a scan from the top never completes this.
   int calls = 0;
   while (!r.is_complete()) {
     stream_progress(h.w->null_stream(1));
@@ -85,33 +83,10 @@ TEST(ProgressFairness, TransportPolledDespiteProductiveHook) {
   h.drain_and_finalize();
 }
 
-TEST(ProgressFairness, FixedOrderStarvesTransport) {
-  // Control experiment: with MPX_PROGRESS_FAIR off the same workload never
-  // reaches the shm stage — documents exactly the failure mode rotation
-  // removes (and guards the cvar's off position still restoring seed order).
-  Harness h(/*fair=*/false);
-  std::int32_t val = 7, out = 0;
-  Request r = h.w->comm_world(1).irecv(&out, 1, dtype::Datatype::int32(),
-                                       /*src=*/0, /*tag=*/4);
-  Request s = h.w->comm_world(0).isend(&val, 1, dtype::Datatype::int32(),
-                                       /*dst=*/1, /*tag=*/4);
-  EXPECT_TRUE(s.is_complete());
-
-  for (int i = 0; i < 100; ++i) stream_progress(h.w->null_stream(1));
-  EXPECT_FALSE(r.is_complete()) << "fixed order unexpectedly fair";
-
-  // Stop the hostile hook; delivery resumes and the data is intact.
-  h.stop.store(true, std::memory_order_relaxed);
-  while (!r.is_complete()) stream_progress(h.w->null_stream(1));
-  EXPECT_EQ(out, 7);
-  h.w->finalize_rank(0);
-  h.w->finalize_rank(1);
-}
-
 TEST(ProgressFairness, StageTableCountsHostileRounds) {
   // Observability satellite: the per-source counters must attribute the
   // hostile hits to the async stage and the delivery to the shm stage.
-  Harness h(/*fair=*/true);
+  Harness h;
   std::int32_t val = 1, out = 0;
   Request r = h.w->comm_world(1).irecv(&out, 1, dtype::Datatype::int32(),
                                        /*src=*/0, /*tag=*/5);
