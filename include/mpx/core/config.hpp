@@ -59,8 +59,9 @@ struct WorldConfig {
   /// ShmTransport::kSlotBytes and kDeliverBatch.
   std::size_t shm_eager_max = 64 * 1024;
   std::size_t shm_cells = 64;
-  /// Shared-memory LMT copy chunk (receiver-side copy work per poll).
-  std::size_t shm_lmt_chunk = 256 * 1024;
+  /// Shared-memory LMT copy chunk: the bytes one LMT poll claims and
+  /// copies, on the receiver's side and on the sender's alike.
+  std::size_t shm_lmt_chunk = 64 * 1024;
 
   /// Wait-loop backoff policy (request.cpp): spin this many empty progress
   /// rounds at full rate (<0 = spin forever), then sched-yield this many

@@ -25,12 +25,17 @@
 // instead: the lock-rank validator checks the VCI lock is ordered first,
 // and the tsan preset checks the data itself. Readers outside the lock may
 // touch ONLY `complete` (acquire) and, after observing it true, `status`
-// (the release store orders it).
+// (the release store orders it). The one exception is `lmt`, the shared
+// copy state of a mapped-memory rendezvous: the receiver's VCI and the
+// sender's VCI both claim chunks from it, each under its own lock, so it
+// synchronizes through its own atomics (LmtShare below).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 
@@ -55,7 +60,6 @@ enum class ReqKind : std::uint8_t {
   send = 0,
   recv,
   pack,       ///< async datatype pack/unpack
-  coll,       ///< collective schedule
   grequest,   ///< generalized request
   user,       ///< ext-layer custom request
   psend,      ///< persistent send (MPI_Send_init)
@@ -71,8 +75,75 @@ enum class SendProto : std::uint8_t {
   eager_local,  ///< cap_eager_local eager: copied out, complete at initiation
   light,        ///< buffered fire-and-forget eager (Fig. 1a), complete now
   eager_cq,     ///< eager over cap_send_cq, completes at injection-done (1b)
-  rndv_lmt,     ///< mapped-memory rendezvous: RTS(ptr) -> recv copy -> ACK
+  rndv_lmt,     ///< mapped-memory rendezvous: RTS(ptr) -> shared copy -> ACK
   rndv,         ///< CTS/DATA rendezvous / pipeline (Fig. 1c, multiple waits)
+};
+
+/// Shared copy state of one mapped-memory rendezvous (SendProto::rndv_lmt),
+/// embedded in the sender's request. The RTS cookie reference keeps it alive
+/// until the sender handles the ACK.
+///
+/// Once the receiver has matched the RTS it writes `clip` and publishes its
+/// buffer in `dst` (release). From then on every LMT poll on either side
+/// claims the next chunk from `cursor`, copies it and adds its length to
+/// `copied` (acq_rel, so the count carries every earlier claimer's bytes).
+/// The receiver completes and acks once `copied` reads `total` (acquire):
+/// every chunk has landed by then, whichever side copied it. A receiver
+/// that never publishes (non-contiguous, zero-capacity or zero-byte
+/// receive) copies alone and leaves this untouched.
+struct LmtShare {
+  /// Bytes of the message that fit the receive buffer (min(total,
+  /// capacity)). Plain: written before `dst` is published, read after.
+  std::uint64_t clip = 0;
+  mc::atomic<std::byte*> dst{nullptr};
+  mc::atomic<std::uint64_t> cursor{0};  ///< next offset to claim
+  mc::atomic<std::uint64_t> copied{0};  ///< bytes of finished chunks
+
+  /// Receiver: open the copy to both sides.
+  void publish(std::byte* buf, std::uint64_t clip_bytes) {
+    MPX_MC_PLAIN_WRITE(&clip, "LmtShare::clip");
+    clip = clip_bytes;
+    dst.store(buf, std::memory_order_release);
+  }
+
+  /// Claim the next chunk of at most `chunk` bytes of `src`'s `total` and
+  /// copy the part below `clip`. Returns the claimed length: 0 when the
+  /// copy is not published yet or every chunk is already claimed.
+  std::uint64_t copy_chunk(const std::byte* src, std::uint64_t total,
+                           std::uint64_t chunk) {
+    std::byte* const to = dst.load(std::memory_order_acquire);
+    if (to == nullptr || cursor.load(std::memory_order_relaxed) >= total) {
+      return 0;
+    }
+    const std::uint64_t off = cursor.fetch_add(chunk, std::memory_order_relaxed);
+    if (off >= total) return 0;
+    const std::uint64_t len = std::min(chunk, total - off);
+    MPX_MC_PLAIN_READ(&clip, "LmtShare::clip");
+    if (off < clip) {
+      MPX_MC_PLAIN_WRITE(to + off, "LMT chunk");
+      std::memcpy(to + off, src + off,
+                  static_cast<std::size_t>(std::min(len, clip - off)));
+    }
+    copied.fetch_add(len, done_order(std::memory_order_acq_rel));
+    return len;
+  }
+
+  /// Bytes of finished chunks; reading `total` orders every chunk's copy
+  /// before the caller.
+  std::uint64_t copied_bytes() const {
+    return copied.load(done_order(std::memory_order_acquire));
+  }
+
+ private:
+  static std::memory_order done_order(std::memory_order mo) {
+#if MPX_MODEL_CHECK
+    // Seeded-mutation self-test hook: mc::mut::weak_lmt_done weakens the
+    // count's ordering to relaxed, so reaching the total no longer orders
+    // the peer's chunk copies. The mc suite must catch the data race.
+    if (mc::mut::weak_lmt_done) return std::memory_order_relaxed;
+#endif
+    return mo;
+  }
 };
 
 /// Generalized-request callbacks (MPI_Grequest_start analog).
@@ -97,12 +168,12 @@ struct RequestImpl : base::RefCounted {
   static void operator delete(void* p) noexcept;
 
   ReqKind kind;
-  World* world = nullptr;
-  Vci* vci = nullptr;  ///< VCI whose progress completes this request
   /// mc::atomic so the model checker can verify the completion contract:
   /// the release store here is the ONLY thing ordering `status` (and the
   /// received payload) for a polling thread.
   mc::atomic<bool> complete{false};
+  World* world = nullptr;
+  Vci* vci = nullptr;  ///< VCI whose progress completes this request
   Status status;
 
   // --- matching (posted receives live in the VCI's matching bins) ---
@@ -110,11 +181,11 @@ struct RequestImpl : base::RefCounted {
   std::int32_t context_id = 0;
   std::int32_t match_src = -1;  ///< world rank or any_source (-1)
   std::int32_t match_tag = -1;  ///< tag or any_tag (-1)
+  /// Bin index this receive is filed under; -1 = the wildcard list.
+  std::int32_t match_bin = -1;
   /// Per-VCI post order, assigned when the receive enters the matcher;
   /// orders a bin candidate against a wildcard candidate (exact MPI FIFO).
   std::uint64_t match_seq = 0;
-  /// Bin index this receive is filed under; -1 = the wildcard list.
-  std::int32_t match_bin = -1;
 
   // --- user buffer ---
   void* buf = nullptr;
@@ -136,20 +207,22 @@ struct RequestImpl : base::RefCounted {
   std::int32_t peer = -1;      ///< world rank of the peer
   std::int32_t self = -1;      ///< world rank owning this request
   std::int32_t peer_vci = 0;   ///< destination VCI at the peer
+  bool uses_staging = false;  ///< send_src points into `staging`
+  SendProto proto = SendProto::none;
   std::uint64_t total_bytes = 0;
   std::uint64_t bytes_moved = 0;   ///< pipeline/assembly progress
   std::uint64_t next_offset = 0;   ///< next pipeline chunk to inject
-  std::int32_t chunks_inflight = 0;
   const std::byte* send_src = nullptr;  ///< contiguous source bytes
-  bool uses_staging = false;  ///< send_src points into `staging`
-  SendProto proto = SendProto::none;
   std::uint64_t peer_cookie = 0;  ///< receiver cookie echoed into data chunks
+  std::int32_t chunks_inflight = 0;
   /// Pipeline geometry pinned at CTS time from the then-routed carrier's
   /// limits. Chunk injection and completion accounting use ONLY these, so a
   /// mid-rendezvous topology swap (new carrier, new limits) cannot desync
   /// the sender's acked-bytes reconstruction from the chunks it injected.
-  std::uint64_t pipe_chunk = 0;
   std::int32_t pipe_window = 1;
+  std::uint64_t pipe_chunk = 0;
+  /// rndv_lmt sends: the copy both sides' LMT progress shares.
+  LmtShare lmt;
 
   // --- completion hook (continuations, collective internals) ---
   using CompleteFn = void (*)(RequestImpl*, void* arg);
@@ -174,6 +247,14 @@ struct RequestImpl : base::RefCounted {
 
   bool cancelled = false;
 };
+
+// Every request of every message comes from one pool block of this size.
+// Growing it reaches the small-message paths, so a new field has to find
+// room in the padding first.
+#if defined(__GLIBCXX__) && UINTPTR_MAX == UINT64_MAX
+static_assert(sizeof(RequestImpl) == 416,
+              "RequestImpl changed size: check the small-message paths");
+#endif
 
 /// Parked blocks per shard of request_pool().
 inline constexpr std::size_t kRequestPoolCap = 1024;

@@ -153,9 +153,9 @@ void mtx_unlock(const void* m);
 void mtx_destroy(const void* m);
 }  // namespace detail
 
-/// Seeded-mutation self-test toggles: reintroduce two real historical bugs
-/// so the test suite can prove the checker catches them. Test-only; never
-/// set outside tests/test_mc_*.cpp.
+/// Seeded-mutation self-test toggles: reintroduce real (or prototyped)
+/// ordering bugs so the test suite can prove the checker catches them.
+/// Test-only; never set outside tests/test_mc_*.cpp.
 namespace mut {
 /// PR 1 bug #1: MPIX_Request_is_complete load weakened to relaxed — the
 /// completion flag no longer orders the payload for the polling thread.
@@ -164,6 +164,10 @@ inline bool weak_is_complete = false;
 /// holding the VCI mutex, letting a concurrent stream_create destroy the
 /// mutex mid-unlock.
 inline bool stream_free_publish_under_lock = false;
+/// The shared LMT copy's count (LmtShare::copied) weakened to relaxed —
+/// reaching the total no longer orders the peer's chunk copies before the
+/// receiver completes.
+inline bool weak_lmt_done = false;
 }  // namespace mut
 
 }  // namespace mpx::mc

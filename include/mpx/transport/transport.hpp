@@ -31,8 +31,9 @@ enum TransportCaps : unsigned {
   /// initiation even when it parks (Fig. 1a with zero envelopes).
   cap_eager_local = 1u << 0,
   /// Endpoints share an address space: an RTS may carry the exporter's
-  /// buffer pointer (MsgHeader::shm_src) and the receiver copies directly
-  /// (the LMT rendezvous — one wait block on the sender).
+  /// buffer pointer (MsgHeader::shm_src) and the data is copied directly
+  /// between the user buffers, by both sides' progress (the LMT
+  /// rendezvous — one wait block on the sender).
   cap_mapped_memory = 1u << 1,
   /// Sender-side completion queue: a nonzero send cookie is reported via
   /// TransportSink::on_send_complete when the local injection finishes

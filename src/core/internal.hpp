@@ -72,14 +72,26 @@ struct AsyncRuntime {
   static bool has_spawned(const AsyncThing& t) { return !t.spawned_.empty(); }
 };
 
-/// Receiver-side large-message copy work for the shared-memory LMT path:
-/// copies `total` bytes from the exporter's buffer into the receive buffer
-/// one chunk per progress poll, then acks the sender.
+/// One side's part of a shared-memory LMT copy (`total` bytes from the
+/// exporter's buffer `src`), queued on the VCI whose progress runs it. Each
+/// poll of an entry copies at most one chunk.
+///
+/// - Receiver entry (`rreq` set), filed when the RTS matches. With `share`
+///   set it claims chunks of the sender's LmtShare; without (non-contiguous,
+///   zero-capacity or zero-byte receive) it copies alone, `done` being its
+///   offset. It completes the receive and acks the sender once every byte
+///   has landed.
+/// - Sender entry (`sreq` set), filed by isend. It claims chunks once the
+///   receiver has published the share, and handle_ack unlinks it when the
+///   ACK completes the send.
 struct LmtWork {
   base::Ref<RequestImpl> rreq;
+  base::Ref<RequestImpl> sreq;
+  LmtShare* share = nullptr;  ///< in the sender's request; null = alone
   const std::byte* src = nullptr;
   std::uint64_t total = 0;
-  std::uint64_t done = 0;
+  std::uint64_t done = 0;  ///< receiver copying alone: bytes copied
+  std::uint64_t seen = 0;  ///< share->copied at this entry's last poll
   std::unique_ptr<dtype::Segment> seg;  ///< non-contiguous receive cursor
   std::uint64_t sender_cookie = 0;
   std::int32_t sender_rank = -1;
@@ -135,7 +147,8 @@ struct alignas(64) Vci {
   // per-VCI state lives in its own registered source (coll-exec).
   dtype::PackEngine pack_engine MPX_GUARDED_BY(mu);   // (1) datatype engine
   AsyncRuntime::List asyncs MPX_GUARDED_BY(mu);       // (2) user async things
-  std::list<LmtWork> lmt MPX_GUARDED_BY(mu);          // (3) shm LMT copies
+  std::list<LmtWork> lmt MPX_GUARDED_BY(mu);          // (3) shm LMT copies,
+                                                      //     both sides'
 
   // Cross-thread registration mailbox, drained at the top of each progress
   // call (avoids nested VCI locks on spawn-to-other-stream). Internally
@@ -170,7 +183,7 @@ struct alignas(64) Vci {
   std::uint64_t progress_calls MPX_GUARDED_BY(mu) = 0;
   // Raw std::atomic on purpose: lock-free accounting read by fast paths,
   // not modeled protocol state (the queues they mirror are).
-  std::atomic<std::int64_t> active_ops{0};  ///< in-flight p2p/coll requests — mpxlint: allow(mc-coverage)
+  std::atomic<std::int64_t> active_ops{0};  ///< in-flight send/recv/pack requests — mpxlint: allow(mc-coverage)
   std::atomic<std::int64_t> hook_count{0};  ///< linked+mailboxed async hooks — mpxlint: allow(mc-coverage)
   /// Wait-ladder rung occupancy of blocking waits driving THIS VCI
   /// (request.cpp wires every wait loop's backoff here). The adaptive
@@ -384,8 +397,9 @@ inline void trace_emit(Vci& v, trace::Event ev, int peer, int tag,
 /// Construct the transport sink for a VCI (called when a VCI is created).
 std::unique_ptr<transport::TransportSink> make_vci_sink(Vci& v);
 
-/// Receiver-side LMT copy stage (its own ProgressSource, registered right
-/// after the mapped-memory transport's poll stage).
+/// Shared-memory LMT copy stage, both sides' entries (its own
+/// ProgressSource, registered right after the mapped-memory transport's
+/// poll stage).
 void lmt_progress(Vci& v, int* made_progress) MPX_REQUIRES(v.mu);
 
 /// Register the in-tree non-transport sources (dtype, async), in

@@ -144,9 +144,9 @@ class TransportSource final : public ProgressSource {
   transport::Transport& t_;
 };
 
-/// Receiver-side mapped-memory LMT copy work, registered directly after
-/// the mapped transport's poll stage and sharing its mask bit (the seed
-/// ran this inside the shm slot).
+/// Mapped-memory LMT copy work of both sides (LmtWork), registered directly
+/// after the mapped transport's poll stage and sharing its mask bit (the
+/// seed ran the receiver's copy inside the shm slot).
 class LmtSource final : public ProgressSource {
  public:
   explicit LmtSource(unsigned mask) : mask_(mask) {}
@@ -307,7 +307,7 @@ void complete_request(RequestImpl* r, Err err) {
   r->complete.store(true, std::memory_order_release);
   if (r->vci != nullptr &&
       (r->kind == ReqKind::send || r->kind == ReqKind::recv ||
-       r->kind == ReqKind::coll || r->kind == ReqKind::pack)) {
+       r->kind == ReqKind::pack)) {
     r->vci->active_ops.fetch_sub(1, std::memory_order_relaxed);
   }
 }

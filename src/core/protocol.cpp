@@ -12,8 +12,9 @@
 //   cap_send_cq, size <= eager_max     : eager (Fig. 1b) — sender completes
 //                                        at injection-done CQ event
 //   cap_mapped_memory, larger (or sync): LMT rendezvous — RTS carries the
-//                                        exporter pointer -> receiver
-//                                        chunk-copies -> ACK (ONE wait)
+//                                        exporter pointer -> both sides'
+//                                        progress claims chunks -> ACK
+//                                        (ONE wait)
 //   otherwise larger (or sync)         : rendezvous (Fig. 1c) — RTS -> CTS
 //                                        -> DATA (two wait blocks); above
 //                                        pipeline_min the data is chunked
@@ -106,18 +107,27 @@ void start_rndv_recv(Vci& v, base::Ref<RequestImpl> rreq, const MsgHeader& h)
   set_recv_envelope(rreq.get(), h);
   rreq->total_bytes = h.total_bytes;
   if (h.shm_src != nullptr) {
-    // Mapped-memory LMT (the RTS carried the exporter's pointer): chunk-copy
-    // directly from the exporter's buffer during this VCI's progress, then
-    // ack the sender.
+    // Mapped-memory LMT (the RTS carried the exporter's pointer): copy
+    // directly from the exporter's buffer during progress, then ack the
+    // sender. A contiguous receive with room publishes its buffer so the
+    // sender's progress claims chunks too; unpacking a non-contiguous
+    // receive is sequential, so it copies alone.
     LmtWork work;
     work.src = static_cast<const std::byte*>(h.shm_src);
     work.total = h.total_bytes;
     work.sender_cookie = h.sender_cookie;
     work.sender_rank = h.src_rank;
     work.sender_vci = h.src_vci;
+    const std::uint64_t cap = rreq->count * rreq->dt.size();
     if (!rreq->dt.is_contiguous()) {
       work.seg = std::make_unique<dtype::Segment>(rreq->buf, rreq->count,
                                                   rreq->dt);
+    } else if (cap > 0 && h.total_bytes > 0) {
+      // The RTS cookie reference keeps the sender's request alive until
+      // the sender handles our ACK.
+      work.share = &peek_cookie(h.sender_cookie)->lmt;
+      work.share->publish(static_cast<std::byte*>(rreq->buf),
+                          std::min<std::uint64_t>(h.total_bytes, cap));
     }
     work.rreq = std::move(rreq);
     v.lmt.push_back(std::move(work));
@@ -272,9 +282,12 @@ void handle_data(Vci& v, Msg&& m) {
   }
 }
 
-void handle_ack(Vci& v, Msg&& m) {
+void handle_ack(Vci& v, Msg&& m) MPX_REQUIRES(v.mu) {
   trace_emit(v, trace::Event::ack, m.h.src_rank, m.h.tag, 0);
   base::Ref<RequestImpl> sreq = from_cookie(m.h.sender_cookie);
+  // Nothing of the send outlives its completion: its own LMT entry (filed
+  // on this VCI by isend) retires here, not at a later poll.
+  v.lmt.remove_if([&](const LmtWork& w) { return w.sreq == sreq; });
   sreq->status.count_bytes = sreq->total_bytes;
   complete_request(sreq.get(), Err::success);
 }
@@ -410,36 +423,66 @@ std::unique_ptr<transport::TransportSink> make_vci_sink(Vci& v) {
   return std::make_unique<VciSink>(v);
 }
 
+namespace {
+
+/// Receiver copying alone: the next chunk, through the unpack cursor for a
+/// non-contiguous receive, clipped to the capacity for a contiguous one.
+void copy_alone(LmtWork& w, std::uint64_t chunk) {
+  const std::uint64_t len = std::min(chunk, w.total - w.done);
+  RequestImpl* rreq = w.rreq.get();
+  const std::size_t cap = rreq->count * rreq->dt.size();
+  if (w.seg != nullptr) {
+    w.seg->unpack(base::ConstByteSpan(w.src + w.done,
+                                      static_cast<std::size_t>(len)));
+  } else if (w.done < cap) {
+    const std::size_t n = std::min<std::size_t>(
+        static_cast<std::size_t>(len), cap - static_cast<std::size_t>(w.done));
+    std::memcpy(static_cast<std::byte*>(rreq->buf) + w.done, w.src + w.done,
+                n);
+  }
+  w.done += len;
+}
+
+/// Every byte has landed: ack the sender, then complete the receive.
+void finish_lmt_recv(Vci& v, LmtWork& w) MPX_REQUIRES(v.mu) {
+  Msg ack;
+  ack.h.kind = transport::MsgKind::ack;
+  ack.h.src_rank = v.rank;
+  ack.h.dst_rank = w.sender_rank;
+  ack.h.src_vci = v.id;
+  ack.h.dst_vci = w.sender_vci;
+  ack.h.sender_cookie = w.sender_cookie;
+  route_send(v, std::move(ack), 0);
+  RequestImpl* rreq = w.rreq.get();
+  const std::size_t cap = rreq->count * rreq->dt.size();
+  rreq->status.count_bytes = std::min<std::uint64_t>(w.total, cap);
+  complete_request(rreq, w.total > cap ? Err::truncate : Err::success);
+}
+
+}  // namespace
+
 void lmt_progress(Vci& v, int* made_progress) {
-  const WorldConfig& cfg = v.world->config();
+  const std::uint64_t chunk = v.world->config().shm_lmt_chunk;
   for (auto it = v.lmt.begin(); it != v.lmt.end();) {
     LmtWork& w = *it;
-    const std::uint64_t len =
-        std::min<std::uint64_t>(cfg.shm_lmt_chunk, w.total - w.done);
-    RequestImpl* rreq = w.rreq.get();
-    const std::size_t cap = rreq->count * rreq->dt.size();
-    if (w.seg != nullptr) {
-      w.seg->unpack(base::ConstByteSpan(w.src + w.done,
-                                        static_cast<std::size_t>(len)));
-    } else if (w.done < cap) {
-      const std::size_t n = std::min<std::size_t>(
-          static_cast<std::size_t>(len), cap - static_cast<std::size_t>(w.done));
-      std::memcpy(static_cast<std::byte*>(rreq->buf) + w.done, w.src + w.done,
-                  n);
+    bool moved = true;
+    std::uint64_t landed = 0;
+    if (w.share != nullptr) {
+      moved = w.share->copy_chunk(w.src, w.total, chunk) != 0;
+      landed = w.share->copied_bytes();
+      // A chunk the peer finished counts as progress too: otherwise a
+      // waiter here falls off the spin rung while the peer copies.
+      moved = moved || landed != w.seen;
+      w.seen = landed;
+    } else {
+      copy_alone(w, chunk);
+      landed = w.done;
     }
-    w.done += len;
-    if (made_progress != nullptr) *made_progress = 1;
-    if (w.done >= w.total) {
-      Msg ack;
-      ack.h.kind = transport::MsgKind::ack;
-      ack.h.src_rank = v.rank;
-      ack.h.dst_rank = w.sender_rank;
-      ack.h.src_vci = v.id;
-      ack.h.dst_vci = w.sender_vci;
-      ack.h.sender_cookie = w.sender_cookie;
-      route_send(v, std::move(ack), 0);
-      rreq->status.count_bytes = std::min<std::uint64_t>(w.total, cap);
-      complete_request(rreq, w.total > cap ? Err::truncate : Err::success);
+    if (moved && made_progress != nullptr) *made_progress = 1;
+    // The share must not be touched once the ACK is out: the sender may
+    // then drop its request at any time.
+    if (w.rreq && landed >= w.total) {
+      finish_lmt_recv(v, w);
       it = v.lmt.erase(it);
     } else {
       ++it;
@@ -536,9 +579,21 @@ Request isend_impl(const std::shared_ptr<CommImpl>& comm, int my_rank,
     m.h.sender_cookie = cookie_of(r);
     if ((caps & transport::cap_mapped_memory) != 0) {
       // The receiver copies straight out of our buffer (LMT): export it in
-      // the RTS and wait for the single ACK.
+      // the RTS and wait for the single ACK. Meanwhile this VCI's LMT stage
+      // claims chunks of the copy as soon as the receiver publishes its
+      // buffer, so the sender's wait does half the work.
       r->proto = SendProto::rndv_lmt;
-      m.h.shm_src = r->send_src;
+      // A non-null export is what marks an LMT RTS, so a zero-byte send
+      // whose buffer is null exports its request instead (nothing is read).
+      m.h.shm_src = r->send_src != nullptr
+                        ? static_cast<const void*>(r->send_src)
+                        : static_cast<const void*>(r);
+      LmtWork work;
+      work.sreq = base::Ref<RequestImpl>::share(r);
+      work.share = &r->lmt;
+      work.src = r->send_src;
+      work.total = r->total_bytes;
+      v.lmt.push_back(std::move(work));
     } else {
       r->proto = SendProto::rndv;
     }
