@@ -6,8 +6,7 @@
 // them through freelists removes the global allocator from the per-message
 // cost (MPICH ships the same design: CH4 request pools and cell pools).
 //
-// Four shapes:
-//   - ObjectPool<T>      : unique_ptr-based recycler (legacy; transports).
+// Three shapes:
 //   - FreelistPool<T>    : typed freelist of raw storage, NOT thread-safe;
 //                          per-VCI pools guarded by the VCI lock.
 //   - FixedBlockPool     : per-thread-sharded raw-block freelist for
@@ -74,46 +73,6 @@ namespace mpx::base {
 /// allocator: compiled under ASan, or MPX_POOL_DISABLE=1 in the
 /// environment (read once).
 bool pool_passthrough();
-
-/// Recycling pool of default-constructible T. acquire() reuses a released
-/// object when available. Objects are reset by the caller.
-template <class T>
-class ObjectPool {
- public:
-  explicit ObjectPool(std::size_t reserve = 0) { free_.reserve(reserve); }
-
-  std::unique_ptr<T> acquire() {
-    if (!free_.empty()) {
-      std::unique_ptr<T> p = std::move(free_.back());
-      free_.pop_back();
-      ++live_;
-      return p;
-    }
-    ++allocated_;
-    ++live_;
-    return std::make_unique<T>();
-  }
-
-  void release(std::unique_ptr<T> p) {
-    if (p != nullptr) {
-      --live_;
-      free_.push_back(std::move(p));
-    }
-  }
-
-  /// Cumulative constructions (NOT live objects — see live()).
-  std::size_t total_allocated() const { return allocated_; }
-  /// Objects currently handed out (acquired and not yet released).
-  std::size_t live() const { return live_; }
-  /// Objects owned by the pool in total: live + parked on the freelist.
-  std::size_t capacity() const { return live_ + free_.size(); }
-  std::size_t free_count() const { return free_.size(); }
-
- private:
-  std::vector<std::unique_ptr<T>> free_;
-  std::size_t allocated_ = 0;
-  std::size_t live_ = 0;
-};
 
 /// Typed freelist pool: acquire() placement-constructs T on recycled
 /// storage, release() destroys and parks the storage (up to `max_free`

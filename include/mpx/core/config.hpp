@@ -63,16 +63,16 @@ struct WorldConfig {
   /// copies, on the receiver's side and on the sender's alike.
   std::size_t shm_lmt_chunk = 64 * 1024;
 
-  /// Wait-loop backoff policy (request.cpp): spin this many empty progress
-  /// rounds at full rate (<0 = spin forever), then sched-yield this many
-  /// rounds (<0 = never sleep), then sleep with exponential backoff capped
-  /// at wait_sleep_max_us. Any progress resets the ladder.
+  /// Wait-loop backoff (core_detail::poll_until, wait_policy.hpp): spin
+  /// this many empty progress rounds at full rate (<0 = spin forever), then
+  /// sched-yield this many rounds (<0 = never sleep), then sleep with
+  /// exponential backoff capped at wait_sleep_max_us. Any progress resets
+  /// the ladder. Every blocking wait, drain and task::ProgressThread (and
+  /// so the adaptive engine's pollers) on this World idles by these three
+  /// fields.
   int wait_spin = 200;
   int wait_yield = 32;
-  /// Sleep-rung cap in microseconds. The whole ladder also paces every idle
-  /// task-layer progress thread (task::ProgressThread, the adaptive
-  /// engine's workers and dedicated helpers), so these three knobs govern
-  /// every idle poller in the process.
+  /// Sleep-rung cap in microseconds.
   int wait_sleep_max_us = 64;
 
   /// Adaptive progress engine tuning (task::ProgressEngine reads this

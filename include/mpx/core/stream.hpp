@@ -48,7 +48,6 @@ class Stream {
   }
   int rank() const { return rank_; }
   int vci() const { return vci_; }
-  bool is_null_stream() const { return vci_ == 0; }
 
   /// Subsystem mask used by progress on this stream.
   unsigned mask() const { return mask_; }

@@ -1,29 +1,34 @@
 // mpx/core/wait_policy.hpp
 //
-// Adaptive spin -> yield -> sleep backoff for blocking wait loops.
+// The library's one "idle while waiting" loop, poll_until(), and the
+// adaptive spin -> yield -> sleep backoff it climbs.
 //
 // The paper's wait-block anatomy (§2) assumes the waiter IS the progress
-// engine: wait() calls progress in a loop until the completion flag flips.
-// That is the right shape when the waiter's polling moves its own message —
-// but with more waiters than cores (fig09's thread-contention scenario),
-// full-rate spinning steals cycles from the rank that is actually making
-// progress. The ladder here keeps the fast path fast (pure cpu_relax spin
-// for the first `spin` empty rounds — an eager shm round-trip completes well
-// inside it) and degrades gracefully: `yield` rounds of sched-yield, then
-// exponential sleeps capped at `sleep_max_us`. Any productive progress round
-// resets the ladder to the spin phase.
+// engine, and §3.5 reduces every blocking wait to "check completion, else
+// drive progress". Every blocking wait, drain and progress thread in the
+// library is that loop, and each runs it through poll_until(): Request::wait,
+// wait_on_stream, wait_all, wait_any, progress_until (and through it
+// Comm::sendrecv, user_allreduce_int_sum, Future::get, Coro::wait,
+// TaskGraph::wait, TaskQueue::drain, RequestNotifier::drain),
+// World::finalize_rank, the topology-swap drain and task::ProgressThread
+// (which also runs the adaptive engine's shared and dedicated pollers).
+// A change to how waiters idle is made here, once.
 //
-// The same ladder paces every idle progress thread: task::ProgressThread —
-// which also runs the adaptive engine's shared and dedicated pollers —
-// pause()s on it after each empty poll.
+// Full-rate spinning is right when the waiter's polling moves its own
+// message, but with more waiters than cores (fig09's thread-contention
+// scenario) it steals cycles from the rank that is making progress. The
+// ladder keeps the fast path fast (pure cpu_relax spin for the first `spin`
+// empty rounds — an eager shm round trip completes well inside it) and
+// degrades gracefully: `yield` rounds of sched-yield, then exponential
+// sleeps capped at `sleep_max_us`. Any productive round resets the ladder
+// to the spin phase.
 //
-// Rung occupancy counters (WaitLadderCounters): every pause() increments the
-// counter of the rung it lands on. Wired per VCI (request.cpp passes the
-// request's VCI counters), per engine worker and per ProgressThread, they
-// answer "who is burning a core waiting on this endpoint" — the signal the
-// adaptive progress engine's controller promotes/demotes on, and the
-// evidence that an idle helper thread actually reached the sleep rung
-// instead of spinning.
+// Rung occupancy counters (WaitLadderCounters): every empty round
+// increments the counter of the rung it lands on. Waiters charge the VCI
+// they wait on (Vci::wait_rungs, read through World::vci_wait_rungs) — the
+// signal the adaptive progress engine's controller promotes and demotes on —
+// and each ProgressThread charges its own counters, the evidence that an
+// idle helper reached the sleep rung instead of spinning.
 #pragma once
 
 #include <atomic>
@@ -33,21 +38,26 @@
 
 #include "mpx/base/thread.hpp"
 
+namespace mpx {
+class World;
+}  // namespace mpx
+
 namespace mpx::core_detail {
 
 /// Tunables (WorldConfig::wait_spin / wait_yield / wait_sleep_max_us).
 /// Negative spin: spin forever (never yield or sleep — the paper's original
 /// full-rate loop). Negative yield: never sleep. sleep_max_us caps the
-/// exponential sleep rung. Blocking waits and the task-layer progress
-/// threads read the same World settings, so one set of fields governs every
-/// idle poller in the process.
+/// exponential sleep rung.
 struct WaitPolicy {
   int spin = 200;
   int yield = 32;
-  int sleep_max_us = kDefaultSleepMaxUs;
-
-  static constexpr int kDefaultSleepMaxUs = 64;
+  int sleep_max_us = 64;
 };
+
+/// The ladder `world` configures, or the defaults above for a null world
+/// (a generalized request has none). The one place a WaitPolicy is read
+/// from a WorldConfig.
+WaitPolicy wait_policy(const World* world);
 
 /// Occupancy counters for the three ladder rungs: how many empty pauses
 /// landed on each. Monotonic; sample twice and subtract for windowed rates.
@@ -82,9 +92,10 @@ inline std::int64_t backoff_sleep_us(long idx, int max_us) {
   return us < cap ? us : cap;
 }
 
+/// One waiter's position on the ladder. Constructed only by poll_until().
 class WaitBackoff {
  public:
-  explicit WaitBackoff(WaitPolicy p, WaitLadderCounters* counters = nullptr)
+  WaitBackoff(WaitPolicy p, WaitLadderCounters* counters)
       : p_(p), counters_(counters) {}
 
   /// Call after a progress round that moved something: restart the ladder.
@@ -120,5 +131,22 @@ class WaitBackoff {
   WaitLadderCounters* counters_ = nullptr;
   long idle_ = 0;
 };
+
+/// Until `done()` holds, call `poll()` — nonzero when it moved something —
+/// and after every empty poll climb `policy`'s ladder, charging each rung
+/// to `rungs` (nullable: then nothing is counted). `done()` is checked
+/// before the first poll, so a wait that is already satisfied polls nothing.
+template <class Poll, class Done>
+void poll_until(WaitPolicy policy, WaitLadderCounters* rungs, Poll&& poll,
+                Done&& done) {
+  WaitBackoff backoff{policy, rungs};
+  while (!done()) {
+    if (poll() != 0) {
+      backoff.reset();
+    } else {
+      backoff.pause();
+    }
+  }
+}
 
 }  // namespace mpx::core_detail

@@ -8,6 +8,7 @@
 
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mpx/core/request.hpp"
@@ -40,23 +41,25 @@ std::optional<std::size_t> test_any(std::span<Request> reqs);
 /// One progress pass; indices of all currently-complete requests.
 std::vector<std::size_t> test_some(std::span<Request> reqs);
 
-/// Spin `stream_progress(stream)` until `req` completes — the explicit
+/// Drive `stream_progress(stream)` until `req` completes — the explicit
 /// progress-engine form of MPI_Wait used throughout the paper's examples.
 Status wait_on_stream(Request& req, const Stream& stream);
 
-/// Spin progress on `stream` until `pred()` returns true (e.g. a counter
-/// decremented by async poll functions, Listing 1.3). Uses the default
-/// wait backoff ladder (wait_policy.hpp) on empty progress rounds.
+namespace core_detail {
+/// Rung counters of the VCI `stream` names (Vci::wait_rungs).
+WaitLadderCounters* wait_rungs(const Stream& stream);
+}  // namespace core_detail
+
+/// Drive progress on `stream` until `pred()` returns true (e.g. a counter
+/// decremented by async poll functions, Listing 1.3). Empty rounds climb
+/// the stream's World wait ladder (WorldConfig::wait_*) and are charged to
+/// the stream's VCI.
 template <class Pred>
 void progress_until(const Stream& stream, Pred&& pred) {
-  core_detail::WaitBackoff backoff{core_detail::WaitPolicy{}};
-  while (!pred()) {
-    if (stream_progress(stream) != 0) {
-      backoff.reset();
-    } else {
-      backoff.pause();
-    }
-  }
+  core_detail::poll_until(core_detail::wait_policy(&stream.world()),
+                          core_detail::wait_rungs(stream),
+                          [&stream] { return stream_progress(stream); },
+                          std::forward<Pred>(pred));
 }
 
 }  // namespace mpx

@@ -60,7 +60,6 @@ class PackEngine {
   int progress(int* made_progress);
 
   bool idle() const { return active_.empty(); }
-  std::size_t active_count() const { return active_.size(); }
 
  private:
   struct Entry {

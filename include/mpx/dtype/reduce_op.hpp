@@ -1,8 +1,8 @@
 // mpx/dtype/reduce_op.hpp
 //
 // Local reduction operators applied element-wise over typed buffers, used by
-// the collective algorithms (allreduce, reduce) and by the MPIX_Schedule
-// comparison layer's "mpi op" nodes.
+// the collective algorithms (allreduce, reduce) and the compiled schedules'
+// reduce nodes.
 #pragma once
 
 #include <cstddef>

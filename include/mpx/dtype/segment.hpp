@@ -29,9 +29,6 @@ class Segment {
   std::size_t position() const { return pos_; }
   bool done() const { return pos_ == packed_size_; }
 
-  /// Reset the cursor to the beginning.
-  void rewind();
-
   /// Copy up to out.size() packed bytes starting at the cursor into `out`;
   /// advances the cursor. Returns bytes produced (< out.size() only at end).
   std::size_t pack(base::ByteSpan out);

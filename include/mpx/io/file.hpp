@@ -56,12 +56,11 @@ class SimDisk {
                                   std::uint64_t offset,
                                   std::uint64_t len) const;
 
-  /// Completed-operation counters.
-  std::uint64_t reads_completed() const;
+  /// Completed writes.
   std::uint64_t writes_completed() const;
 
-  /// Internal: operation accounting (called by the io engine at completion).
-  void note_completed(bool is_write);
+  /// Internal: write accounting (called by the io engine at completion).
+  void note_write_completed();
 
  private:
   friend class File;
@@ -69,7 +68,6 @@ class SimDisk {
   DiskModel model_;   // mpxlint: allow(tsa-ratchet) immutable after construction
   mutable base::Spinlock mu_;
   std::map<std::string, std::vector<std::byte>> objects_ MPX_GUARDED_BY(mu_);
-  std::uint64_t reads_ MPX_GUARDED_BY(mu_) = 0;
   std::uint64_t writes_ MPX_GUARDED_BY(mu_) = 0;
 };
 
@@ -97,10 +95,6 @@ class File {
   /// land at completion time; Status::count_bytes reports how many were
   /// actually available.
   Request iread_at(std::uint64_t offset, base::ByteSpan out);
-
-  /// Blocking conveniences (drive the stream's progress).
-  void write_at(std::uint64_t offset, base::ConstByteSpan data);
-  std::uint64_t read_at(std::uint64_t offset, base::ByteSpan out);
 
   /// Collective variants over `comm` (every member calls; completes when
   /// all members' ops and a barrier finish — MPI_File_*_at_all shape).

@@ -24,7 +24,7 @@
 //   }
 //
 //   auto coro = pingpong(comm, stream);
-//   while (!coro.done()) stream_progress(stream);
+//   coro.wait(stream);
 #pragma once
 
 #include <atomic>
@@ -36,6 +36,7 @@
 #include "mpx/core/async.hpp"
 #include "mpx/core/request.hpp"
 #include "mpx/core/stream.hpp"
+#include "mpx/core/waittest.hpp"
 
 namespace mpx::task {
 
@@ -91,7 +92,7 @@ class Coro {
 
   /// Drive `stream`'s progress until the coroutine completes.
   void wait(const Stream& stream) const {
-    while (!done()) stream_progress(stream);
+    progress_until(stream, [this] { return done(); });
   }
 
  private:

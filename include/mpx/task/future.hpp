@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "mpx/core/stream.hpp"
+#include "mpx/core/waittest.hpp"
 
 namespace mpx::task {
 
@@ -64,7 +65,7 @@ class Future {
   /// Drive `stream`'s progress until the value arrives, then return it.
   const T& get(const Stream& stream) const {
     expects(valid(), "Future::get: invalid future");
-    while (!ready()) stream_progress(stream);
+    progress_until(stream, [this] { return ready(); });
     return *state_->value;
   }
 

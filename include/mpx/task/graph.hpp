@@ -12,6 +12,7 @@
 
 #include "mpx/base/spinlock.hpp"
 #include "mpx/core/async.hpp"
+#include "mpx/core/waittest.hpp"
 
 namespace mpx::task {
 
@@ -40,10 +41,8 @@ class TaskGraph {
 
   /// Drive `stream`'s progress until the whole graph completed.
   void wait(const Stream& stream) const {
-    while (!done()) stream_progress(stream);
+    progress_until(stream, [this] { return done(); });
   }
-
-  std::size_t node_count() const { return nodes_.size(); }
 
  private:
   struct Node {

@@ -33,7 +33,8 @@ class RequestNotifier {
   /// Requests still being watched.
   std::size_t pending() const;
 
-  /// Spin the stream's progress until no requests remain watched.
+  /// Drive the stream's progress (progress_until) until no requests remain
+  /// watched.
   void drain();
 
  private:

@@ -4,11 +4,11 @@
 // (§5.1): instead of an implementation-global async-progress thread that
 // contends with every MPI call under MPI_THREAD_MULTIPLE, the application
 // spins progress on exactly the stream(s) that need it, where it knows by
-// design that background progress is required. When progress is idle the
-// thread descends the same spin/yield/sleep ladder as every blocking wait
-// (wait_policy.hpp, WorldConfig::wait_*), so an idle helper parks on the
-// sleep rung instead of burning a core (the MVAPICH-style tuning the paper
-// cites).
+// design that background progress is required. Its loop is the one every
+// blocking wait runs (core_detail::poll_until, wait_policy.hpp): when
+// progress is idle it descends the spin/yield/sleep ladder of
+// WorldConfig::wait_*, so an idle helper parks on the sleep rung instead of
+// burning a core (the MVAPICH-style tuning the paper cites).
 //
 // It is the library's only engine/helper polling loop. The adaptive engine
 // (task::ProgressEngine) runs its dedicated mode on one of these per

@@ -36,7 +36,7 @@ class TaskQueue {
   std::size_t pending() const;
   bool empty() const { return pending() == 0; }
 
-  /// Spin the stream's progress until the queue drains.
+  /// Drive the stream's progress (progress_until) until the queue drains.
   void drain();
 
  private:

@@ -89,8 +89,7 @@ Err user_allreduce_int_sum(void* buf, std::size_t count, const Comm& comm) {
   bool done = false;
   const Err e = user_allreduce_int_sum_start(buf, count, comm, &done);
   if (e != Err::success) return e;
-  const Stream s = comm.stream();
-  while (!done) stream_progress(s);
+  progress_until(comm.stream(), [&done] { return done; });
   return Err::success;
 }
 

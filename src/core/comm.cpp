@@ -155,8 +155,9 @@ Status Comm::sendrecv(const void* sendbuf, std::size_t sendcount,
                       dtype::Datatype recvtype, int src, int recvtag) const {
   Request sreq = isend(sendbuf, sendcount, std::move(sendtype), dst, sendtag);
   Request rreq = irecv(recvbuf, recvcount, std::move(recvtype), src, recvtag);
-  const Stream s = stream();
-  while (!sreq.is_complete() || !rreq.is_complete()) stream_progress(s);
+  progress_until(stream(), [&sreq, &rreq] {
+    return sreq.is_complete() && rreq.is_complete();
+  });
   return rreq.status();
 }
 

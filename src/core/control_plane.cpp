@@ -71,6 +71,22 @@ void grace_period(Datapath& dp, std::uint64_t epoch) {
   }
 }
 
+/// Drive progress on every live VCI of `rc` once (deliveries, CQ events,
+/// LMT copies, async hooks); nonzero when anything moved. The published
+/// length is re-read on every call: stream_create may grow the table
+/// concurrently (slot storage is fixed, so no reallocation races).
+int poll_rank(RankCtx& rc) {
+  int made = 0;
+  const std::uint32_t n = rc.vci_count.load(std::memory_order_acquire);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    Vci* v = rc.slots[i].load(std::memory_order_acquire);
+    if (v != nullptr && v->active.load(std::memory_order_acquire)) {
+      made |= core_detail::progress_test(*v, progress_all);
+    }
+  }
+  return made;
+}
+
 }  // namespace
 
 World::World(WorldConfig cfg) : s_(std::make_unique<State>()) {
@@ -242,38 +258,36 @@ void World::stream_free(Stream& stream) {
 void World::finalize_rank(int rank) {
   expects(rank >= 0 && rank < size(), "finalize_rank: rank out of range");
   RankCtx& rc = *s_->dp.ranks[static_cast<std::size_t>(rank)];
-  // Spin progress on every live VCI of this rank until quiescent (the paper:
-  // "MPI_Finalize will spin progress until all async tasks complete").
-  for (;;) {
-    bool quiet = true;
-    // Re-read the published length each pass: stream_create may grow the
-    // table concurrently (slot storage is fixed, so no reallocation races).
+  // Drive progress on every live VCI of this rank until quiescent (the
+  // paper: "MPI_Finalize will spin progress until all async tasks
+  // complete"). Idle rounds are charged to the rank's default VCI.
+  const auto quiet = [&] {
     const std::uint32_t nvcis = rc.vci_count.load(std::memory_order_acquire);
     for (std::uint32_t i = 0; i < nvcis; ++i) {
       Vci& v = *rc.slots[i].load(std::memory_order_acquire);
       if (!v.active.load(std::memory_order_acquire)) continue;
-      core_detail::progress_test(v, progress_all);
       base::LockGuard<base::InstrumentedMutex> g(v.mu);
-      bool idle =
-          v.asyncs.empty() && v.lmt.empty() && v.fence_parked.empty() &&
-          v.synth_cq.empty() && v.pack_engine.idle() &&
-          v.active_ops.load(std::memory_order_relaxed) == 0 &&
-          v.inbox_asyncs.maybe_empty();
+      if (!v.asyncs.empty() || !v.lmt.empty() || !v.fence_parked.empty() ||
+          !v.synth_cq.empty() || !v.pack_engine.idle() ||
+          v.active_ops.load(std::memory_order_relaxed) != 0 ||
+          !v.inbox_asyncs.maybe_empty()) {
+        return false;
+      }
       // Registered sources may hold deferred work the member lists above
       // don't see (e.g. a compiled collective schedule whose requests all
       // completed but whose local reduce tail hasn't run yet).
       for (const core_detail::ProgressStage& st : v.stages) {
-        if (!idle) break;
-        idle = st.source->quiescent(v);
+        if (!st.source->quiescent(v)) return false;
       }
       for (const auto& t : s_->ctl.transports) {
-        if (!idle) break;
-        idle = t->idle(rank, static_cast<int>(i));
+        if (!t->idle(rank, static_cast<int>(i))) return false;
       }
-      quiet = quiet && idle;
     }
-    if (quiet) return;
-  }
+    return true;
+  };
+  core_detail::poll_until(core_detail::wait_policy(this),
+                          &vci(rank, 0).wait_rungs,
+                          [&rc] { return poll_rank(rc); }, quiet);
 }
 
 transport::Transport* World::find_transport(std::string_view name) const {
@@ -321,19 +335,6 @@ void World::swap_topology_for_test(int a, int b, transport::Transport& t) {
     delete prev;
   };
 
-  // Drive progress on every live VCI of `rank` once (deliveries, CQ
-  // events, LMT copies — anything the drain below is waiting on).
-  const auto drive = [&](int rank) {
-    RankCtx& rc = *dp.ranks[static_cast<std::size_t>(rank)];
-    const std::uint32_t n = rc.vci_count.load(std::memory_order_acquire);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      Vci* v = rc.slots[i].load(std::memory_order_acquire);
-      if (v != nullptr && v->active.load(std::memory_order_acquire)) {
-        core_detail::progress_test(*v, progress_all);
-      }
-    }
-  };
-
   // Phase 1 — FENCE: after this publication's grace period, every send for
   // the pair parks (in order) instead of injecting, and protocol selection
   // already sees the new carrier's caps/limits. The pair's `sent` counts
@@ -346,11 +347,18 @@ void World::swap_topology_for_test(int a, int b, transport::Transport& t) {
   // behind the fence, so `recvd` catches up with `sent`; polling both
   // endpoints from this thread is what moves it. A virtual clock must be
   // advanced or the simulated NIC's delivery deadlines never come due.
-  while (dp.pairs.inflight(a, b) != 0 || dp.pairs.inflight(b, a) != 0) {
-    drive(a);
-    drive(b);
-    if (ctl.vclock != nullptr) ctl.vclock->advance(1e-6);
-  }
+  // Idle rounds are charged to rank a's default VCI.
+  core_detail::poll_until(
+      core_detail::wait_policy(this), &vci(a, 0).wait_rungs,
+      [&] {
+        const int made = poll_rank(*dp.ranks[static_cast<std::size_t>(a)]) |
+                         poll_rank(*dp.ranks[static_cast<std::size_t>(b)]);
+        if (ctl.vclock != nullptr) ctl.vclock->advance(1e-6);
+        return made;
+      },
+      [&] {
+        return dp.pairs.inflight(a, b) == 0 && dp.pairs.inflight(b, a) == 0;
+      });
 
   // Phase 3 — CUTOVER: unfence. Each VCI's next progress call flushes its
   // parked sends, oldest first, onto the new carrier — per-pair FIFO holds

@@ -1,16 +1,31 @@
 // Request wait/test/cancel and the multi-request wait/test families. All
 // blocking forms follow the paper's scheme: check is_complete() (one atomic
-// read) and otherwise drive the collated progress of the request's VCI.
+// read) and otherwise drive the collated progress of the request's VCI,
+// idling through core_detail::poll_until.
 #include "internal.hpp"
 #include "mpx/core/wait_policy.hpp"
 #include "mpx/core/waittest.hpp"
 
 namespace mpx {
 
+namespace core_detail {
+
+WaitPolicy wait_policy(const World* world) {
+  if (world == nullptr) return WaitPolicy{};
+  const WorldConfig& cfg = world->config();
+  return WaitPolicy{cfg.wait_spin, cfg.wait_yield, cfg.wait_sleep_max_us};
+}
+
+WaitLadderCounters* wait_rungs(const Stream& stream) {
+  return &stream.world().vci(stream.rank(), stream.vci()).wait_rungs;
+}
+
+}  // namespace core_detail
+
+using core_detail::poll_until;
 using core_detail::progress_test;
 using core_detail::RequestImpl;
-using core_detail::WaitBackoff;
-using core_detail::WaitPolicy;
+using core_detail::wait_policy;
 
 namespace {
 
@@ -23,19 +38,23 @@ int progress_for(RequestImpl* r) {
   return 0;
 }
 
-WaitPolicy wait_policy_for(const RequestImpl* r) {
-  if (r->world != nullptr) {
-    const WorldConfig& cfg = r->world->config();
-    return WaitPolicy{cfg.wait_spin, cfg.wait_yield, cfg.wait_sleep_max_us};
-  }
-  return WaitPolicy{};
+/// poll_until on the ladder of `r`'s World, charging the empty rounds to
+/// `r`'s VCI so the adaptive progress engine can see stuck waiters. A null
+/// `r`, or a grequest with no World or VCI, idles on the default ladder
+/// uncharged.
+template <class Poll, class Done>
+void poll_on(const RequestImpl* r, Poll&& poll, Done&& done) {
+  poll_until(wait_policy(r != nullptr ? r->world : nullptr),
+             r != nullptr && r->vci != nullptr ? &r->vci->wait_rungs : nullptr,
+             std::forward<Poll>(poll), std::forward<Done>(done));
 }
 
-/// Rung-occupancy counters of the request's VCI (nullable: grequests with
-/// no VCI just skip the accounting). Every blocking wait charges its empty
-/// pauses here so the adaptive progress engine can see stuck waiters.
-core_detail::WaitLadderCounters* wait_rungs_for(const RequestImpl* r) {
-  return r->vci != nullptr ? &r->vci->wait_rungs : nullptr;
+/// The request a multi-request wait idles on: the first valid one.
+const RequestImpl* first_valid(std::span<Request> reqs) {
+  for (Request& r : reqs) {
+    if (r.valid()) return r.impl();
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -43,14 +62,8 @@ core_detail::WaitLadderCounters* wait_rungs_for(const RequestImpl* r) {
 Status Request::wait() {
   expects(valid(), "Request::wait: invalid request");
   RequestImpl* r = impl_.get();
-  WaitBackoff backoff{wait_policy_for(r), wait_rungs_for(r)};
-  while (!r->complete.load(std::memory_order_acquire)) {
-    if (progress_for(r) != 0) {
-      backoff.reset();
-    } else {
-      backoff.pause();
-    }
-  }
+  poll_on(r, [r] { return progress_for(r); },
+          [r] { return r->complete.load(std::memory_order_acquire); });
   return r->status;
 }
 
@@ -89,37 +102,26 @@ void Request::cancel() {
 
 Status wait_on_stream(Request& req, const Stream& stream) {
   expects(req.valid(), "wait_on_stream: invalid request");
-  WaitBackoff backoff{wait_policy_for(req.impl()), wait_rungs_for(req.impl())};
-  while (!req.is_complete()) {
-    if (stream_progress(stream) != 0) {
-      backoff.reset();
-    } else {
-      backoff.pause();
-    }
-  }
+  progress_until(stream, [&req] { return req.is_complete(); });
   return req.status();
 }
 
 void wait_all(std::span<Request> reqs) {
-  WaitBackoff backoff{
-      reqs.empty() ? WaitPolicy{} : wait_policy_for(reqs.front().impl()),
-      reqs.empty() ? nullptr : wait_rungs_for(reqs.front().impl())};
-  for (;;) {
-    bool all = true;
-    int made = 0;
-    for (Request& r : reqs) {
-      if (!r.is_complete()) {
-        all = false;
-        made |= progress_for(r.impl());
-      }
-    }
-    if (all) return;
-    if (made != 0) {
-      backoff.reset();
-    } else {
-      backoff.pause();
-    }
-  }
+  poll_on(
+      first_valid(reqs),
+      [reqs] {
+        int made = 0;
+        for (Request& r : reqs) {
+          if (!r.is_complete()) made |= progress_for(r.impl());
+        }
+        return made;
+      },
+      [reqs] {
+        for (Request& r : reqs) {
+          if (!r.is_complete()) return false;
+        }
+        return true;
+      });
 }
 
 void wait_all(std::span<Request> reqs, std::span<Status> statuses) {
@@ -154,25 +156,23 @@ bool test_all(std::span<Request> reqs) {
 
 std::size_t wait_any(std::span<Request> reqs) {
   expects(!reqs.empty(), "wait_any: empty request set");
-  WaitBackoff backoff{wait_policy_for(reqs.front().impl()),
-                      wait_rungs_for(reqs.front().impl())};
-  for (;;) {
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (reqs[i].valid() && reqs[i].is_complete()) return i;
-    }
-    int made = 0;
-    for (Request& r : reqs) {
-      if (r.valid() && !r.is_complete()) {
-        made = progress_for(r.impl());
-        break;  // one pass at a time; re-scan for completions
-      }
-    }
-    if (made != 0) {
-      backoff.reset();
-    } else {
-      backoff.pause();
-    }
-  }
+  std::size_t hit = 0;
+  poll_on(
+      first_valid(reqs),
+      [reqs] {
+        // One pass at a time; the done check re-scans for completions.
+        for (Request& r : reqs) {
+          if (r.valid() && !r.is_complete()) return progress_for(r.impl());
+        }
+        return 0;
+      },
+      [reqs, &hit] {
+        for (hit = 0; hit < reqs.size(); ++hit) {
+          if (reqs[hit].valid() && reqs[hit].is_complete()) return true;
+        }
+        return false;
+      });
+  return hit;
 }
 
 std::optional<std::size_t> test_any(std::span<Request> reqs) {

@@ -11,13 +11,6 @@ Segment::Segment(void* buf, std::size_t count, Datatype dt)
   packed_size_ = count_ * dt_.size();
 }
 
-void Segment::rewind() {
-  pos_ = 0;
-  elem_ = 0;
-  piece_ = 0;
-  piece_off_ = 0;
-}
-
 template <class MoveFn>
 std::size_t Segment::walk(std::size_t n, MoveFn&& move) {
   const auto iov = dt_.iov();

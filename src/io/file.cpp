@@ -47,22 +47,14 @@ std::vector<std::byte> SimDisk::raw_read(const std::string& name,
                                 it->second.begin() + static_cast<std::ptrdiff_t>(offset + n));
 }
 
-std::uint64_t SimDisk::reads_completed() const {
-  base::LockGuard<base::Spinlock> g(mu_);
-  return reads_;
-}
 std::uint64_t SimDisk::writes_completed() const {
   base::LockGuard<base::Spinlock> g(mu_);
   return writes_;
 }
 
-void SimDisk::note_completed(bool is_write) {
+void SimDisk::note_write_completed() {
   base::LockGuard<base::Spinlock> g(mu_);
-  if (is_write) {
-    ++writes_;
-  } else {
-    ++reads_;
-  }
+  ++writes_;
 }
 
 namespace {
@@ -86,12 +78,12 @@ struct IoOp {
     if (is_write) {
       disk->raw_write(name, offset, capture.span());
       result_bytes = capture.size();
+      disk->note_write_completed();
     } else {
       const auto data = disk->raw_read(name, offset, out.size());
       if (!data.empty()) std::memcpy(out.data(), data.data(), data.size());
       result_bytes = data.size();
     }
-    disk->note_completed(is_write);
   }
 };
 
@@ -161,16 +153,6 @@ Request File::iread_at(std::uint64_t offset, base::ByteSpan out) {
   op->offset = offset;
   op->out = out;
   return submit(disk_, stream_, std::move(op));
-}
-
-void File::write_at(std::uint64_t offset, base::ConstByteSpan data) {
-  Request r = iwrite_at(offset, data);
-  wait_on_stream(r, stream_);
-}
-
-std::uint64_t File::read_at(std::uint64_t offset, base::ByteSpan out) {
-  Request r = iread_at(offset, out);
-  return wait_on_stream(r, stream_).count_bytes;
 }
 
 void File::write_at_all(const Comm& comm, std::uint64_t offset,

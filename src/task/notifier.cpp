@@ -1,5 +1,7 @@
 #include "mpx/task/notifier.hpp"
 
+#include "mpx/core/waittest.hpp"
+
 namespace mpx::task {
 
 AsyncResult RequestNotifier::trampoline(AsyncThing& thing) {
@@ -30,13 +32,10 @@ std::size_t RequestNotifier::pending() const {
 }
 
 void RequestNotifier::drain() {
-  for (;;) {
-    {
-      base::LockGuard<base::Spinlock> g(mu_);
-      if (!hook_active_) return;
-    }
-    stream_progress(stream_);
-  }
+  progress_until(stream_, [this] {
+    base::LockGuard<base::Spinlock> g(mu_);
+    return !hook_active_;
+  });
 }
 
 AsyncResult RequestNotifier::poll() {

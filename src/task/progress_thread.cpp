@@ -10,10 +10,7 @@ ProgressThread::ProgressThread(Stream stream)
                      [stream] { return stream_progress(stream); }) {}
 
 ProgressThread::ProgressThread(const World& world, std::function<int()> poll)
-    : poll_(std::move(poll)) {
-  const WorldConfig& wc = world.config();
-  wait_ = core_detail::WaitPolicy{wc.wait_spin, wc.wait_yield,
-                                  wc.wait_sleep_max_us};
+    : poll_(std::move(poll)), wait_(core_detail::wait_policy(&world)) {
   thread_ = base::ScopedThread([this] { run(); });
 }
 
@@ -29,17 +26,16 @@ void ProgressThread::stop() {
 
 void ProgressThread::run() {
   base::set_current_thread_name("mpx-progress");
-  core_detail::WaitBackoff backoff{wait_, &rungs_};
-  while (!stop_.load(std::memory_order_acquire)) {
-    const int made = poll_();
-    iterations_.fetch_add(1, std::memory_order_relaxed);
-    if (made != 0) {
-      productive_.fetch_add(1, std::memory_order_relaxed);
-      backoff.reset();
-    } else {
-      backoff.pause();
-    }
-  }
+  // mpxlint: allow(progress-contract) the helper's loop, not a nested wait
+  core_detail::poll_until(
+      wait_, &rungs_,
+      [this] {
+        const int made = poll_();
+        iterations_.fetch_add(1, std::memory_order_relaxed);
+        if (made != 0) productive_.fetch_add(1, std::memory_order_relaxed);
+        return made;
+      },
+      [this] { return stop_.load(std::memory_order_acquire); });
 }
 
 }  // namespace mpx::task

@@ -1,5 +1,7 @@
 #include "mpx/task/task_queue.hpp"
 
+#include "mpx/core/waittest.hpp"
+
 namespace mpx::task {
 
 AsyncResult TaskQueue::trampoline(AsyncThing& thing) {
@@ -34,13 +36,10 @@ std::size_t TaskQueue::pending() const {
 }
 
 void TaskQueue::drain() {
-  for (;;) {
-    {
-      base::LockGuard<base::Spinlock> g(mu_);
-      if (!hook_active_) return;
-    }
-    stream_progress(stream_);
-  }
+  progress_until(stream_, [this] {
+    base::LockGuard<base::Spinlock> g(mu_);
+    return !hook_active_;
+  });
 }
 
 AsyncResult TaskQueue::class_poll() {

@@ -277,40 +277,6 @@ TEST(Cvar, EnvParsing) {
   EXPECT_EQ(cvar_string("MPX_TEST_INT", ""), "42");
 }
 
-TEST(Pool, Recycles) {
-  ObjectPool<std::vector<int>> pool;
-  auto a = pool.acquire();
-  auto* raw = a.get();
-  pool.release(std::move(a));
-  auto b = pool.acquire();
-  EXPECT_EQ(b.get(), raw);  // recycled, not reallocated
-  EXPECT_EQ(pool.total_allocated(), 1u);
-}
-
-TEST(Pool, ObjectPoolAccounting) {
-  ObjectPool<int> pool;
-  EXPECT_EQ(pool.live(), 0u);
-  EXPECT_EQ(pool.capacity(), 0u);
-  auto a = pool.acquire();
-  auto b = pool.acquire();
-  EXPECT_EQ(pool.live(), 2u);
-  EXPECT_EQ(pool.capacity(), 2u);
-  EXPECT_EQ(pool.free_count(), 0u);
-  pool.release(std::move(a));
-  // One handed out, one parked: capacity counts both, live only the former.
-  EXPECT_EQ(pool.live(), 1u);
-  EXPECT_EQ(pool.capacity(), 2u);
-  EXPECT_EQ(pool.free_count(), 1u);
-  auto c = pool.acquire();  // recycles the parked object
-  EXPECT_EQ(pool.live(), 2u);
-  EXPECT_EQ(pool.capacity(), 2u);
-  EXPECT_EQ(pool.total_allocated(), 2u);  // cumulative, not live
-  pool.release(std::move(b));
-  pool.release(std::move(c));
-  EXPECT_EQ(pool.live(), 0u);
-  EXPECT_EQ(pool.capacity(), 2u);
-}
-
 TEST(Pool, FreelistPoolRecyclesAndCaps) {
   struct Node {
     explicit Node(int x) : v(x) {}

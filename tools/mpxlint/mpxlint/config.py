@@ -99,6 +99,7 @@ BLOCKING_CALL_NAMES = {
     "wait_any",
     "wait_on_stream",
     "progress_until",
+    "poll_until",
     "progress_test",
     "stream_progress",
     "vci_poll",

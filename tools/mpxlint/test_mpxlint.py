@@ -76,6 +76,18 @@ class FixtureTests(unittest.TestCase):
         # the path must be reported.
         self.assertTrue(any("helper_drain" in f["message"] for f in hits))
 
+    def test_poll_until_in_poll_caught(self):
+        # poll_until is the library's one idle-while-waiting loop; reaching
+        # it from poll is a blocking wait like any other, and the helper
+        # that hides it must appear in the reported path.
+        code, report = run_lint("--check", "progress-contract",
+                                self.fixture("poll_until_in_poll.cpp"))
+        self.assertEqual(code, 1)
+        hits = findings_of(report, "progress-contract")
+        self.assertTrue(any("'poll_until'" in f["message"] and
+                            "settle" in f["message"] for f in hits),
+                        f"missed poll_until reached from poll: {report}")
+
     def test_executor_shaped_violations_caught(self):
         # The schedule-executor shape (PR 7): poll -> drain_inbox ->
         # step_cursor hides the blocking wait two hops deep, and the
