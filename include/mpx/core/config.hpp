@@ -67,9 +67,10 @@ struct WorldConfig {
   /// this many empty progress rounds at full rate (<0 = spin forever), then
   /// sched-yield this many rounds (<0 = never sleep), then sleep with
   /// exponential backoff capped at wait_sleep_max_us. Any progress resets
-  /// the ladder. Every blocking wait, drain and task::ProgressThread (and
-  /// so the adaptive engine's pollers) on this World idles by these three
-  /// fields.
+  /// the ladder. Request waits, World drains and task::ProgressThread (and
+  /// so the adaptive engine's pollers) on this World idle by these three
+  /// fields; progress_until and the task waits built on it always spin at
+  /// full rate (core_detail::kFullRateSpin).
   int wait_spin = 200;
   int wait_yield = 32;
   /// Sleep-rung cap in microseconds.

@@ -6,13 +6,21 @@
 // The paper's wait-block anatomy (§2) assumes the waiter IS the progress
 // engine, and §3.5 reduces every blocking wait to "check completion, else
 // drive progress". Every blocking wait, drain and progress thread in the
-// library is that loop, and each runs it through poll_until(): Request::wait,
-// wait_on_stream, wait_all, wait_any, progress_until (and through it
-// Comm::sendrecv, user_allreduce_int_sum, Future::get, Coro::wait,
-// TaskGraph::wait, TaskQueue::drain, RequestNotifier::drain),
-// World::finalize_rank, the topology-swap drain and task::ProgressThread
-// (which also runs the adaptive engine's shared and dedicated pollers).
-// A change to how waiters idle is made here, once.
+// library is that loop, and each runs it through poll_until(). A change to
+// how waiters idle is made here, once. Waiters pick one of two policies:
+//
+//   * the World's ladder (wait_policy(world), WorldConfig::wait_*) for
+//     waits whose completion a progress stage reports: Request::wait,
+//     wait_on_stream, wait_all, wait_any, Comm::sendrecv,
+//     World::finalize_rank, the topology-swap drain and task::ProgressThread
+//     (which also runs the adaptive engine's shared and dedicated pollers);
+//   * kFullRateSpin for progress_until and the waits built on it
+//     (user_allreduce_int_sum, Future::get, Coro::wait, TaskGraph::wait,
+//     TaskQueue::drain, RequestNotifier::drain). Their predicate is flipped
+//     inside an async hook, and a hook reports only done or pending: a
+//     drain whose tasks retire one by one looks as empty to the ladder as
+//     a stuck one, so backing off would only delay the next observation
+//     (Fig. 10's 0.09 us p50 becomes ~50 us on the sleep rung).
 //
 // Full-rate spinning is right when the waiter's polling moves its own
 // message, but with more waiters than cores (fig09's thread-contention
@@ -26,9 +34,9 @@
 // Rung occupancy counters (WaitLadderCounters): every empty round
 // increments the counter of the rung it lands on. Waiters charge the VCI
 // they wait on (Vci::wait_rungs, read through World::vci_wait_rungs) — the
-// signal the adaptive progress engine's controller promotes and demotes on —
-// and each ProgressThread charges its own counters, the evidence that an
-// idle helper reached the sleep rung instead of spinning.
+// adaptive progress engine's controller promotes on the yield and sleep
+// rungs — and each ProgressThread charges its own counters, the evidence
+// that an idle helper reached the sleep rung instead of spinning.
 #pragma once
 
 #include <atomic>
@@ -45,14 +53,18 @@ class World;
 namespace mpx::core_detail {
 
 /// Tunables (WorldConfig::wait_spin / wait_yield / wait_sleep_max_us).
-/// Negative spin: spin forever (never yield or sleep — the paper's original
-/// full-rate loop). Negative yield: never sleep. sleep_max_us caps the
-/// exponential sleep rung.
+/// Negative spin: spin forever with no pause between rounds (never yield
+/// or sleep — the paper's original full-rate loop). Negative yield: never
+/// sleep. sleep_max_us caps the exponential sleep rung.
 struct WaitPolicy {
   int spin = 200;
   int yield = 32;
   int sleep_max_us = 64;
 };
+
+/// Never leave the spin rung: the paper's original full-rate loop, for
+/// waits only an async hook can complete (see the header comment).
+inline constexpr WaitPolicy kFullRateSpin{-1, -1, 0};
 
 /// The ladder `world` configures, or the defaults above for a null world
 /// (a generalized request has none). The one place a WaitPolicy is read
@@ -103,8 +115,13 @@ class WaitBackoff {
 
   /// Call after an empty progress round.
   void pause() {
+    if (p_.spin < 0) {
+      // Full rate: straight back to the next poll, as the paper's loop.
+      count(&WaitLadderCounters::spin);
+      return;
+    }
     ++idle_;
-    if (p_.spin < 0 || idle_ <= static_cast<long>(p_.spin)) {
+    if (idle_ <= static_cast<long>(p_.spin)) {
       count(&WaitLadderCounters::spin);
       base::cpu_relax();
       return;

@@ -48,18 +48,26 @@ Status wait_on_stream(Request& req, const Stream& stream);
 namespace core_detail {
 /// Rung counters of the VCI `stream` names (Vci::wait_rungs).
 WaitLadderCounters* wait_rungs(const Stream& stream);
+
+/// Drive `stream_progress(stream)` until `pred()` holds, idling on `policy`
+/// and charging the empty rounds to the stream's VCI.
+template <class Pred>
+void stream_poll_until(WaitPolicy policy, const Stream& stream, Pred&& pred) {
+  poll_until(policy, wait_rungs(stream),
+             [&stream] { return stream_progress(stream); },
+             std::forward<Pred>(pred));
+}
 }  // namespace core_detail
 
 /// Drive progress on `stream` until `pred()` returns true (e.g. a counter
-/// decremented by async poll functions, Listing 1.3). Empty rounds climb
-/// the stream's World wait ladder (WorldConfig::wait_*) and are charged to
-/// the stream's VCI.
+/// decremented by async poll functions, Listing 1.3). The predicate is
+/// usually flipped inside an async hook, which the ladder cannot see
+/// moving, so this loop spins at full rate (core_detail::kFullRateSpin);
+/// its empty rounds are charged to the stream's VCI on the spin rung.
 template <class Pred>
 void progress_until(const Stream& stream, Pred&& pred) {
-  core_detail::poll_until(core_detail::wait_policy(&stream.world()),
-                          core_detail::wait_rungs(stream),
-                          [&stream] { return stream_progress(stream); },
-                          std::forward<Pred>(pred));
+  core_detail::stream_poll_until(core_detail::kFullRateSpin, stream,
+                                 std::forward<Pred>(pred));
 }
 
 }  // namespace mpx

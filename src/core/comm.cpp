@@ -155,9 +155,10 @@ Status Comm::sendrecv(const void* sendbuf, std::size_t sendcount,
                       dtype::Datatype recvtype, int src, int recvtag) const {
   Request sreq = isend(sendbuf, sendcount, std::move(sendtype), dst, sendtag);
   Request rreq = irecv(recvbuf, recvcount, std::move(recvtype), src, recvtag);
-  progress_until(stream(), [&sreq, &rreq] {
-    return sreq.is_complete() && rreq.is_complete();
-  });
+  const Stream s = stream();
+  core_detail::stream_poll_until(
+      core_detail::wait_policy(&s.world()), s,
+      [&sreq, &rreq] { return sreq.is_complete() && rreq.is_complete(); });
   return rreq.status();
 }
 

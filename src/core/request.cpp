@@ -102,7 +102,8 @@ void Request::cancel() {
 
 Status wait_on_stream(Request& req, const Stream& stream) {
   expects(req.valid(), "wait_on_stream: invalid request");
-  progress_until(stream, [&req] { return req.is_complete(); });
+  core_detail::stream_poll_until(wait_policy(&stream.world()), stream,
+                                 [&req] { return req.is_complete(); });
   return req.status();
 }
 

@@ -26,7 +26,6 @@ void ProgressThread::stop() {
 
 void ProgressThread::run() {
   base::set_current_thread_name("mpx-progress");
-  // mpxlint: allow(progress-contract) the helper's loop, not a nested wait
   core_detail::poll_until(
       wait_, &rungs_,
       [this] {

@@ -3,7 +3,10 @@
 // each waiter on work that completes late and checks two things the
 // adaptive progress engine and the tuning knobs rely on:
 //   * the idle rounds are charged to the waited VCI (World::vci_wait_rungs);
-//   * WorldConfig::wait_spin / wait_yield decide which rung they land on.
+//   * WorldConfig::wait_spin / wait_yield decide which rung they land on —
+//     except for progress_until and the waits built on it, which only an
+//     async hook completes and which stay on the spin rung whatever the
+//     ladder says (core_detail::kFullRateSpin).
 // The late work is released from another thread once the waiter is seen on
 // the ladder (or after kPatience, so a waiter that charges nothing fails
 // instead of hanging).
@@ -76,6 +79,8 @@ struct Waiter {
   /// Blocks in the waiter until late work completes; returns the rung
   /// counts the wait charged.
   Rungs (*block)(World& w);
+  /// Spins at full rate whatever WorldConfig::wait_* says.
+  bool full_rate = false;
 };
 
 /// gtest prints the parameter into the test name: print the waiter's name,
@@ -150,7 +155,8 @@ const Waiter kWaiters[] = {
          LateRelease late(w, [&flag] { flag.store(true); });
          progress_until(w.null_stream(0), [&flag] { return flag.load(); });
        });
-     }},
+     },
+     true},
     {"Comm_sendrecv",
      [](World& w) {
        return charged(w, [&] {
@@ -184,7 +190,8 @@ const Waiter kWaiters[] = {
                    Err::success);
          EXPECT_EQ(mine, 10);
        });
-     }},
+     },
+     true},
     {"Future_get",
      [](World& w) {
        return charged(w, [&] {
@@ -193,7 +200,8 @@ const Waiter kWaiters[] = {
          LateRelease late(w, [&p] { p.set_value(7); });
          EXPECT_EQ(f.get(w.null_stream(0)), 7);
        });
-     }},
+     },
+     true},
     {"Coro_wait",
      [](World& w) {
        return charged(w, [&] {
@@ -203,7 +211,8 @@ const Waiter kWaiters[] = {
          LateRelease late(w, [&flag] { flag.store(true); });
          c.wait(s);
        });
-     }},
+     },
+     true},
     {"TaskGraph_wait",
      [](World& w) {
        return charged(w, [&] {
@@ -217,7 +226,8 @@ const Waiter kWaiters[] = {
          LateRelease late(w, [&flag] { flag.store(true); });
          g.wait(s);
        });
-     }},
+     },
+     true},
     {"TaskQueue_drain",
      [](World& w) {
        return charged(w, [&] {
@@ -227,7 +237,8 @@ const Waiter kWaiters[] = {
          LateRelease late(w, [&flag] { flag.store(true); });
          q.drain();
        });
-     }},
+     },
+     true},
     {"RequestNotifier_drain",
      [](World& w) {
        return charged(w, [&] {
@@ -240,7 +251,8 @@ const Waiter kWaiters[] = {
          n.drain();
          EXPECT_EQ(fired, 1);
        });
-     }},
+     },
+     true},
     {"World_finalize_rank",
      [](World& w) {
        return charged(w, [&] {
@@ -319,8 +331,9 @@ TEST_P(WaitLadder, IdleRoundsChargeTheWaitedVciOnTheConfiguredRung) {
     cfg.wait_yield = l.yield;
     auto w = World::create(cfg);
     const Rungs d = GetParam().block(*w);
-    EXPECT_GT(d.*l.lands, 0u) << "the wait charged no idle round";
-    EXPECT_EQ(total(d), d.*l.lands) << "an idle round left the set rung";
+    const auto lands = GetParam().full_rate ? &Rungs::spin : l.lands;
+    EXPECT_GT(d.*lands, 0u) << "the wait charged no idle round";
+    EXPECT_EQ(total(d), d.*lands) << "an idle round left its rung";
     for (int r = 0; r < cfg.nranks; ++r) w->finalize_rank(r);
   }
 }

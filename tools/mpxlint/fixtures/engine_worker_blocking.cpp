@@ -16,15 +16,20 @@
 //   * ProgressThread::run() drains its stream's requests with a blocking
 //     wait when an idle poll finds them pending (reached through
 //     settle()): the helper would stall on the very progress it exists
-//     to make.
+//     to make;
+//   * ProgressThread::linger() runs a second poll_until loop inside the
+//     helper's poll callable: a nested wait, unlike run()'s own loop.
 //
 // The clean poll_one() path shows the allowed boundary: a bare vci_poll
 // from a driver root is NOT a finding (PROGRESS_ENTRY_CALL_NAMES), even
 // though vci_poll is a blocking call for ordinary ProgressSource roots.
+// Likewise the poll_until that IS ProgressThread::run's body is allowed
+// (PROGRESS_DRIVER_LOOP_CALL_NAMES), while the calls in its callables are
+// still checked.
 //
-// Expected findings: progress-contract (two blocking-call paths, one
-// forbidden-rank acquisition path; nothing for poll_one or the bare
-// stream_progress in ProgressThread::run).
+// Expected findings: progress-contract (three blocking-call paths, one
+// forbidden-rank acquisition path; nothing for poll_one, the bare
+// stream_progress or run()'s own poll_until).
 
 namespace fix {
 
@@ -48,6 +53,8 @@ int vci_poll(Vci& v, unsigned mask);
 int stream_progress(int stream);
 void wait(int req);
 void wait_all(int* reqs, int n);
+template <class Poll, class Done>
+void poll_until(int policy, int* rungs, Poll&& poll, Done&& done);
 
 struct ProgressEngine {
   struct Slot {
@@ -93,17 +100,33 @@ struct ProgressEngine {
 struct ProgressThread {
   int stream;
   int pending_req;
+  int policy;
+  int rungs;
   bool stop;
 
   void settle() {
     if (pending_req != 0) wait(pending_req);  // blocking wait in a helper
   }
 
+  void linger() {
+    // A second idle loop nested inside the helper's poll: blocking.
+    poll_until(
+        policy, &rungs, [this] { return stream_progress(stream); },
+        [this] { return pending_req == 0; });
+  }
+
   void run() {
-    while (!stop) {
-      // Allowed boundary: the helper's whole job.
-      if (stream_progress(stream) == 0) settle();
-    }
+    // Allowed boundaries: the helper's own idle loop and the entry point
+    // it drives — the helper's whole job.
+    poll_until(
+        policy, &rungs,
+        [this] {
+          const int made = stream_progress(stream);
+          if (made == 0) settle();
+          if (pending_req < 0) linger();
+          return made;
+        },
+        [this] { return stop; });
   }
 };
 

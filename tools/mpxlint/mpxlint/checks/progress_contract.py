@@ -5,7 +5,9 @@ external progress-driver loops in config.PROGRESS_DRIVER_ROOTS (the
 adaptive engine's worker loops, which drive compiled stage tables from
 their own threads). For driver roots the progress entry points themselves
 (config.PROGRESS_ENTRY_CALL_NAMES) are allowed boundaries — calling them
-is the driver's job — but the rest of the contract is identical. From each
+is the driver's job — and so is the idle loop the root runs as its own body
+(config.PROGRESS_DRIVER_LOOP_CALL_NAMES, called directly in the root), but
+the rest of the contract is identical. From each
 root the check walks the in-tree call graph (name-level; member calls
 resolve through receiver types, virtual calls expand to every in-model
 override in derived classes) and flags:
@@ -106,6 +108,10 @@ def run(ctx) -> List[Finding]:
                     # Driving a progress entry point is what a driver root
                     # is for; the entry acquires the VCI lock internally
                     # and is not traversed further.
+                    continue
+                if is_driver and fn is root and \
+                        call.name in config.PROGRESS_DRIVER_LOOP_CALL_NAMES:
+                    # The root's own idle loop, not a nested wait.
                     continue
                 if call.name in config.BLOCKING_CALL_NAMES:
                     if not ctx.allowed(fn.file, call.line, CHECK_ID):

@@ -124,6 +124,14 @@ PROGRESS_ENTRY_CALL_NAMES = {
     "progress_test",
     "stream_progress",
 }
+# progress-contract: the idle loop a driver root may run as its own body.
+# Only a call made directly in the root is allowed (ProgressThread::run's
+# loop is poll_until); the same call reached through a helper is a nested
+# blocking wait and is flagged. The calls inside the loop's poll and done
+# callables are still checked like the rest of the root.
+PROGRESS_DRIVER_LOOP_CALL_NAMES = {
+    "poll_until",
+}
 
 # progress-contract: entry points of the collective schedule verifier
 # (src/coll/ir_verify.cpp). The verifier is a compile-path tool — it

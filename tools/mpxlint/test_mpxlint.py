@@ -129,6 +129,13 @@ class FixtureTests(unittest.TestCase):
         self.assertFalse(any("stream_progress" in f["message"]
                              for f in hits),
                          f"flagged the helper's entry-point call: {report}")
+        # run()'s own poll_until is its loop, not a finding; the one
+        # nested in linger() is.
+        loops = [f for f in hits if "'poll_until'" in f["message"]]
+        self.assertTrue(any("linger" in f["message"] for f in loops),
+                        f"missed the nested poll_until: {report}")
+        self.assertFalse(any("linger" not in f["message"] for f in loops),
+                         f"flagged the helper's own loop: {report}")
         # The bare vci_poll in poll_one is the allowed boundary, not a
         # finding.
         self.assertFalse(any("poll_one" in f["message"] for f in hits),
