@@ -35,13 +35,20 @@
 // the core is free, and the only question is whether anybody uses it to
 // move the halos.
 //
-// After the adaptive workload the bench parks: the engine must demote
-// everything back to inline and its pollers must reach the wait ladder's
-// sleep rung (idle_sleep_delta > 0 in the JSON) — adaptivity's other half
-// is NOT burning a core when the work disappears.
+// After the adaptive workload the bench parks: the VCIs are quiet, so the
+// engine's pollers must sleep on their doorbell (idle_bell_delta > 0 in the
+// JSON; idle_sleep_delta counts the timed ladder's sleep rung) — the other
+// half of adaptivity is NOT burning a core when the work disappears.
+//
+// Makespans spread 25-50% between runs on a shared host, so next to each
+// one the bench emits what the scheduler cannot hide as easily: the
+// process CPU time per iteration (cpu_ms_iter: every thread, ranks and
+// helpers) and the helpers' polls and bell waits per iteration
+// (polls_iter, bell_iter; zero for inline).
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -72,6 +79,14 @@ const char* name_of(Strategy s) {
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0)
       .count();
+}
+
+/// CPU time of the whole process (every thread) so far, in ms.
+double process_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) * 1e-6;
 }
 
 /// Offloaded compute: the host core is idle for `us` (kernel running on
@@ -130,9 +145,37 @@ struct EngineReport {
   std::uint64_t demotions = 0;
   std::uint64_t steals = 0;
   std::uint64_t idle_sleep_delta = 0;
+  std::uint64_t idle_bell_delta = 0;
 };
 
-/// Post-workload idle check: everything demoted, pollers asleep.
+/// One run's cost next to its makespan: process CPU time and the helpers'
+/// polls and bell waits over the timed phase.
+struct RunCost {
+  double cpu_ms = 0.0;
+  std::uint64_t polls = 0;
+  std::uint64_t bells = 0;
+};
+
+/// Polls and bell waits of whoever helps: the engine's pollers or the
+/// static helpers (nobody for inline).
+void helper_counts(const std::optional<task::ProgressEngine>& eng,
+                   const std::vector<std::unique_ptr<task::ProgressThread>>&
+                       helpers,
+                   std::uint64_t* polls, std::uint64_t* bells) {
+  *polls = 0;
+  *bells = 0;
+  if (eng.has_value()) {
+    const auto st = eng->stats();
+    for (const auto& v : st.vcis) *polls += v.engine_polls;
+    *bells = st.worker_rungs.bell;
+  }
+  for (const auto& h : helpers) {
+    *polls += h->iterations();
+    *bells += h->rungs().bell;
+  }
+}
+
+/// Post-workload idle check: pollers asleep.
 EngineReport drain_and_park(task::ProgressEngine& eng) {
   EngineReport rep;
   const auto s1 = eng.stats();
@@ -142,13 +185,14 @@ EngineReport drain_and_park(task::ProgressEngine& eng) {
   rep.demotions = s2.demotions;
   rep.steals = s2.steals;
   rep.idle_sleep_delta = s2.worker_rungs.sleep - s1.worker_rungs.sleep;
+  rep.idle_bell_delta = s2.worker_rungs.bell - s1.worker_rungs.bell;
   return rep;
 }
 
 // ------------------------------------------------------------------ halo --
 
 double run_halo(Strategy strat, int iters, int compute_us,
-                std::size_t halo_bytes, EngineReport* rep) {
+                std::size_t halo_bytes, EngineReport* rep, RunCost* cost) {
   auto w = World::create(overlap_config());
   std::optional<task::ProgressEngine> eng;
   std::vector<std::unique_ptr<task::ProgressThread>> helpers;
@@ -166,6 +210,7 @@ double run_halo(Strategy strat, int iters, int compute_us,
   StartGate gate;
   std::atomic<double> rank_ms[2] = {0.0, 0.0};
   const auto t0 = Clock::now();
+  const double cpu0 = process_cpu_ms();
 
   auto rank_body = [&](int rank) {
     Comm c = w->comm_world(rank);
@@ -191,6 +236,8 @@ double run_halo(Strategy strat, int iters, int compute_us,
   std::thread r1(rank_body, 1);
   rank_body(0);
   r1.join();
+  cost->cpu_ms = process_cpu_ms() - cpu0;
+  helper_counts(eng, helpers, &cost->polls, &cost->bells);
 
   if (eng.has_value() && rep != nullptr) *rep = drain_and_park(*eng);
   if (eng.has_value()) eng->stop();
@@ -212,7 +259,8 @@ struct ContCount {
 };
 
 double run_pipeline(Strategy strat, int rounds, int compute_us, int chunks,
-                    std::size_t chunk_bytes, EngineReport* rep) {
+                    std::size_t chunk_bytes, EngineReport* rep,
+                    RunCost* cost) {
   auto w = World::create(overlap_config());
   std::optional<task::ProgressEngine> eng;
   std::vector<std::unique_ptr<task::ProgressThread>> helpers;
@@ -230,6 +278,7 @@ double run_pipeline(Strategy strat, int rounds, int compute_us, int chunks,
   StartGate gate;
   std::atomic<double> rank_ms[2] = {0.0, 0.0};
   const auto t0 = Clock::now();
+  const double cpu0 = process_cpu_ms();
 
   std::thread sender([&] {
     Comm c = w->comm_world(1);
@@ -305,6 +354,8 @@ double run_pipeline(Strategy strat, int rounds, int compute_us, int chunks,
     rank_ms[0].store(ms_since(t0), std::memory_order_release);
   }
   sender.join();
+  cost->cpu_ms = process_cpu_ms() - cpu0;
+  helper_counts(eng, helpers, &cost->polls, &cost->bells);
 
   if (eng.has_value() && rep != nullptr) *rep = drain_and_park(*eng);
   if (eng.has_value()) eng->stop();
@@ -327,49 +378,59 @@ int main() {
   constexpr int kChunks = 8;
   constexpr std::size_t kChunkBytes = 512 * 1024;
 
-  std::printf("%-10s %-10s %5s %12s\n", "bench", "variant", "rep",
-              "makespan_ms");
+  // One JSON record per run: the makespan, its cost per iteration, and
+  // (adaptive only) the engine's transitions and parked-poller evidence.
+  const auto emit = [](const char* bench, Strategy strat, double ms,
+                       const char* count_name, int n, const RunCost& c,
+                       const EngineReport& er) {
+    const double per = 1.0 / n;
+    if (strat == Strategy::adaptive) {
+      mpx_bench::json_emit(
+          bench, name_of(strat),
+          {{"makespan_ms", ms},
+           {count_name, double(n)},
+           {"cpu_ms_iter", c.cpu_ms * per},
+           {"polls_iter", double(c.polls) * per},
+           {"bell_iter", double(c.bells) * per},
+           {"promotions", double(er.promotions)},
+           {"demotions", double(er.demotions)},
+           {"steals", double(er.steals)},
+           {"idle_sleep_delta", double(er.idle_sleep_delta)},
+           {"idle_bell_delta", double(er.idle_bell_delta)}});
+    } else {
+      mpx_bench::json_emit(bench, name_of(strat),
+                           {{"makespan_ms", ms},
+                            {count_name, double(n)},
+                            {"cpu_ms_iter", c.cpu_ms * per},
+                            {"polls_iter", double(c.polls) * per},
+                            {"bell_iter", double(c.bells) * per}});
+    }
+  };
+
+  std::printf("%-16s %-10s %5s %12s %12s %11s %10s\n", "bench", "variant",
+              "rep", "makespan_ms", "cpu_ms_iter", "polls_iter",
+              "bell_iter");
+  const auto row = [](const char* bench, Strategy strat, int rep, double ms,
+                      int n, const RunCost& c) {
+    std::printf("%-16s %-10s %5d %12.2f %12.3f %11.1f %10.1f\n", bench,
+                name_of(strat), rep, ms, c.cpu_ms / n,
+                double(c.polls) / n, double(c.bells) / n);
+  };
   for (int rep = 0; rep < reps; ++rep) {
     for (Strategy strat : {Strategy::inline_poll, Strategy::dedicated,
                            Strategy::adaptive}) {
       EngineReport er;
+      RunCost cost;
       const double halo_ms =
-          run_halo(strat, halo_iters, kComputeUs, kHaloBytes, &er);
-      std::printf("%-10s %-10s %5d %12.2f\n", "overlap_halo",
-                  name_of(strat), rep, halo_ms);
-      if (strat == Strategy::adaptive) {
-        mpx_bench::json_emit(
-            "overlap_halo", name_of(strat),
-            {{"makespan_ms", halo_ms},
-             {"iters", double(halo_iters)},
-             {"promotions", double(er.promotions)},
-             {"demotions", double(er.demotions)},
-             {"steals", double(er.steals)},
-             {"idle_sleep_delta", double(er.idle_sleep_delta)}});
-      } else {
-        mpx_bench::json_emit("overlap_halo", name_of(strat),
-                             {{"makespan_ms", halo_ms},
-                              {"iters", double(halo_iters)}});
-      }
+          run_halo(strat, halo_iters, kComputeUs, kHaloBytes, &er, &cost);
+      row("overlap_halo", strat, rep, halo_ms, halo_iters, cost);
+      emit("overlap_halo", strat, halo_ms, "iters", halo_iters, cost, er);
 
       const double pipe_ms = run_pipeline(strat, pipe_steps, kComputeUs,
-                                          kChunks, kChunkBytes, &er);
-      std::printf("%-10s %-10s %5d %12.2f\n", "overlap_pipeline",
-                  name_of(strat), rep, pipe_ms);
-      if (strat == Strategy::adaptive) {
-        mpx_bench::json_emit(
-            "overlap_pipeline", name_of(strat),
-            {{"makespan_ms", pipe_ms},
-             {"rounds", double(pipe_steps)},
-             {"promotions", double(er.promotions)},
-             {"demotions", double(er.demotions)},
-             {"steals", double(er.steals)},
-             {"idle_sleep_delta", double(er.idle_sleep_delta)}});
-      } else {
-        mpx_bench::json_emit("overlap_pipeline", name_of(strat),
-                             {{"makespan_ms", pipe_ms},
-                              {"rounds", double(pipe_steps)}});
-      }
+                                          kChunks, kChunkBytes, &er, &cost);
+      row("overlap_pipeline", strat, rep, pipe_ms, pipe_steps, cost);
+      emit("overlap_pipeline", strat, pipe_ms, "rounds", pipe_steps, cost,
+           er);
     }
   }
   return 0;

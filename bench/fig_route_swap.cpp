@@ -31,6 +31,7 @@
 
 #include "bench_util.hpp"
 #include "mpx/core/topology.hpp"
+#include "src/core/test_hooks.hpp"
 
 namespace {
 
@@ -96,7 +97,7 @@ int main() {
   double swap_best = 1e300;
   bool to_nic = true;
   const auto swap = [&] {
-    w->swap_topology_for_test(0, 1, to_nic ? *nic : *shm);
+    core_detail::swap_topology_for_test(*w, 0, 1, to_nic ? *nic : *shm);
     to_nic = !to_nic;
   };
   swap();  // warm-up (and leaves the alternation mid-cycle, which is fine)

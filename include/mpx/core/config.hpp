@@ -68,9 +68,10 @@ struct WorldConfig {
   /// sched-yield this many rounds (<0 = never sleep), then sleep with
   /// exponential backoff capped at wait_sleep_max_us. Any progress resets
   /// the ladder. Request waits, World drains and task::ProgressThread (and
-  /// so the adaptive engine's pollers) on this World idle by these three
-  /// fields; progress_until and the task waits built on it always spin at
-  /// full rate (core_detail::kFullRateSpin).
+  /// so the adaptive engine's pollers, while a VCI they serve is not quiet)
+  /// on this World idle by these three fields; progress_until and the task
+  /// waits built on it always spin at full rate
+  /// (core_detail::kFullRateSpin).
   int wait_spin = 200;
   int wait_yield = 32;
   /// Sleep-rung cap in microseconds.

@@ -25,6 +25,10 @@ namespace mpx {
 class World;
 }
 
+namespace mpx::base {
+class Doorbell;
+}
+
 namespace mpx::core_detail {
 
 struct Vci;
@@ -41,6 +45,23 @@ int vci_id(const Vci& v);
 /// Like progress_test it acquires v.mu internally, so callers must not hold
 /// any vci/stream-ranked lock.
 int vci_poll(Vci& v, unsigned mask);
+
+/// Doorbell plumbing for progress helpers (wait_policy.hpp, "doorbell").
+/// Ring the bell of VCI (rank, vci) after making it pollable from outside
+/// its own progress (a message sent to it, work queued for it). Costs one
+/// fence and one load when nobody sleeps there, and never touches the Vci
+/// itself, which may be gone by then.
+void ring_vci(World& w, int rank, int vci);
+/// `v`'s bell: helpers on `v` sleep on it.
+base::Doorbell& vci_bell(Vci& v);
+/// True when nothing can become pollable on `v` without a ring: no pending
+/// async hooks and no transport traffic in flight. Lock-free.
+bool vci_quiet(const Vci& v);
+/// Ring `bell` too on every ring of `v`'s bell (null: stop). `bell` must
+/// outlive every ring: use helper_bell.
+void vci_relay(Vci& v, base::Doorbell* bell);
+/// The World-owned bell the engine's shared pollers sleep on.
+base::Doorbell& helper_bell(World& w);
 
 /// Speculative-devirtualization tag for the in-tree stages: the engine's
 /// scan inlines their (Vci-member) skip checks instead of paying a virtual

@@ -31,12 +31,35 @@
 // sleeps capped at `sleep_max_us`. Any productive round resets the ladder
 // to the spin phase.
 //
+// The doorbell (base::Doorbell, one per VCI slot), for progress helpers
+// (task::ProgressThread). The runtime rings a VCI's bell whenever it makes
+// the VCI pollable from outside its own progress: a route_send/
+// route_send_eager to it (the parked-send flush included), a synthesized
+// send completion, an LMT receive filed on it, the receiver publishing its
+// buffer for a shared LMT copy (rings the sender), the last chunk of a
+// shared copy landing (rings the receiver), an async_start hook, a pack or
+// collective launch, a topology cutover and an engine attach. The bell
+// wakes a poller and completes nothing: completion is still observed only
+// through progress.
+//
+// A helper skips the ladder altogether when every VCI it serves is QUIET —
+// no pending async hooks and no transport traffic in flight, so nothing
+// can become pollable without a ring. It then goes from an empty round
+// straight to its bell and sleeps until rung, with a kQuietNap safety
+// timeout. A VCI that is not quiet keeps the ladder, whose sleep rung then
+// waits on the bell for at most the backoff: NIC completions come due at
+// deadlines and hooks finish outside the runtime, and nothing rings for
+// either. App waits keep timed sleeps: a waiter asleep on a bell makes its
+// waker pay a futex wake per message, and on fanin_rate that cost fell on
+// the one receiver every sender waits for (lat_p50_us x1.24).
+//
 // Rung occupancy counters (WaitLadderCounters): every empty round
-// increments the counter of the rung it lands on. Waiters charge the VCI
-// they wait on (Vci::wait_rungs, read through World::vci_wait_rungs) — the
-// adaptive progress engine's controller promotes on the yield and sleep
-// rungs — and each ProgressThread charges its own counters, the evidence
-// that an idle helper reached the sleep rung instead of spinning.
+// increments the counter of the rung it lands on, or `bell` for a quiet
+// helper's wait. Waiters charge the VCI they wait on (Vci::wait_rungs, read
+// through World::vci_wait_rungs) — the adaptive progress engine's
+// controller promotes on the yield and sleep rungs — and each
+// ProgressThread charges its own counters, the evidence that an idle
+// helper slept instead of spinning.
 #pragma once
 
 #include <atomic>
@@ -44,6 +67,7 @@
 #include <cstdint>
 #include <thread>
 
+#include "mpx/base/doorbell.hpp"
 #include "mpx/base/thread.hpp"
 
 namespace mpx {
@@ -71,25 +95,33 @@ inline constexpr WaitPolicy kFullRateSpin{-1, -1, 0};
 /// from a WorldConfig.
 WaitPolicy wait_policy(const World* world);
 
-/// Occupancy counters for the three ladder rungs: how many empty pauses
-/// landed on each. Monotonic; sample twice and subtract for windowed rates.
-/// Raw std::atomic on purpose: lock-free accounting shared between waiters
-/// and the engine controller, not modeled protocol state.
+/// Safety timeout of a quiet helper's bell wait: the longest a helper
+/// sleeps when a wake-up it needs was never rung.
+inline constexpr std::chrono::microseconds kQuietNap{1000};
+
+/// Occupancy counters for the three ladder rungs — how many empty pauses
+/// landed on each — plus `bell`, the empty rounds a quiet helper spent in a
+/// bell wait instead. Monotonic; sample twice and subtract for windowed
+/// rates. Raw std::atomic on purpose: lock-free accounting shared between
+/// waiters and the engine controller, not modeled protocol state.
 struct WaitLadderCounters {
   std::atomic<std::uint64_t> spin{0};   // mpxlint: allow(mc-coverage) accounting
   std::atomic<std::uint64_t> yield{0};  // mpxlint: allow(mc-coverage) accounting
   std::atomic<std::uint64_t> sleep{0};  // mpxlint: allow(mc-coverage) accounting
+  std::atomic<std::uint64_t> bell{0};   // mpxlint: allow(mc-coverage) accounting
 
   /// Plain-value snapshot (relaxed: counters, not synchronization).
   struct Snapshot {
     std::uint64_t spin = 0;
     std::uint64_t yield = 0;
     std::uint64_t sleep = 0;
+    std::uint64_t bell = 0;
   };
   Snapshot snapshot() const {
     return Snapshot{spin.load(std::memory_order_relaxed),
                     yield.load(std::memory_order_relaxed),
-                    sleep.load(std::memory_order_relaxed)};
+                    sleep.load(std::memory_order_relaxed),
+                    bell.load(std::memory_order_relaxed)};
   }
 };
 
@@ -107,14 +139,25 @@ inline std::int64_t backoff_sleep_us(long idx, int max_us) {
 /// One waiter's position on the ladder. Constructed only by poll_until().
 class WaitBackoff {
  public:
-  WaitBackoff(WaitPolicy p, WaitLadderCounters* counters)
-      : p_(p), counters_(counters) {}
+  WaitBackoff(WaitPolicy p, WaitLadderCounters* rungs, base::Doorbell* bell)
+      : p_(p), rungs_(rungs), bell_(bell) {}
 
   /// Call after a progress round that moved something: restart the ladder.
   void reset() { idle_ = 0; }
 
-  /// Call after an empty progress round.
-  void pause() {
+  /// A quiet helper's empty round: wait on the bell until rung (at most
+  /// kQuietNap), not on the ladder. Requires a bell.
+  template <class Ready>
+  void nap(Ready&& ready) {
+    count(&WaitLadderCounters::bell);
+    bell_->wait(ready, kQuietNap);
+    reset();
+  }
+
+  /// Call after an empty progress round. `ready` is the bell's last look
+  /// before the sleep rung waits on it.
+  template <class Ready>
+  void pause(Ready&& ready) {
     if (p_.spin < 0) {
       // Full rate: straight back to the next poll, as the paper's loop.
       count(&WaitLadderCounters::spin);
@@ -133,35 +176,54 @@ class WaitBackoff {
       return;
     }
     count(&WaitLadderCounters::sleep);
-    std::this_thread::sleep_for(std::chrono::microseconds(
-        backoff_sleep_us(past_spin - p_.yield - 1, p_.sleep_max_us)));
+    const std::chrono::microseconds us(
+        backoff_sleep_us(past_spin - p_.yield - 1, p_.sleep_max_us));
+    if (bell_ == nullptr) {
+      std::this_thread::sleep_for(us);
+    } else if (bell_->wait(ready, us) == base::Doorbell::Wake::ready) {
+      reset();  // the last look moved something
+    }
   }
 
  private:
   void count(std::atomic<std::uint64_t> WaitLadderCounters::* rung) {
-    if (counters_ != nullptr) {
-      (counters_->*rung).fetch_add(1, std::memory_order_relaxed);
+    if (rungs_ != nullptr) {
+      (rungs_->*rung).fetch_add(1, std::memory_order_relaxed);
     }
   }
 
   WaitPolicy p_;
-  WaitLadderCounters* counters_ = nullptr;
+  WaitLadderCounters* rungs_ = nullptr;
+  base::Doorbell* bell_ = nullptr;
   long idle_ = 0;
+};
+
+/// The app waits' `quiet`: never skip the ladder.
+struct NeverQuiet {
+  bool operator()() const { return false; }
 };
 
 /// Until `done()` holds, call `poll()` — nonzero when it moved something —
 /// and after every empty poll climb `policy`'s ladder, charging each rung
 /// to `rungs` (nullable: then nothing is counted). `done()` is checked
-/// before the first poll, so a wait that is already satisfied polls nothing.
-template <class Poll, class Done>
+/// before the first poll, so a wait that is already satisfied polls
+/// nothing. A progress helper also passes its `bell` (see the header
+/// comment): its sleep rung waits there, and while `quiet()` holds an
+/// empty round naps on the bell instead of climbing the ladder.
+template <class Poll, class Done, class Quiet = NeverQuiet>
 void poll_until(WaitPolicy policy, WaitLadderCounters* rungs, Poll&& poll,
-                Done&& done) {
-  WaitBackoff backoff{policy, rungs};
+                Done&& done, base::Doorbell* bell = nullptr,
+                Quiet&& quiet = Quiet{}) {
+  WaitBackoff backoff{policy, rungs, bell};
+  // The bell's last look: one more poll, then the wait's own predicate.
+  const auto ready = [&] { return poll() != 0 || done(); };
   while (!done()) {
     if (poll() != 0) {
       backoff.reset();
+    } else if (bell != nullptr && quiet()) {
+      backoff.nap(ready);
     } else {
-      backoff.pause();
+      backoff.pause(ready);
     }
   }
 }

@@ -35,6 +35,7 @@ namespace mpx {
 
 namespace core_detail {
 struct Vci;
+struct WorldAccess;
 class ProgressRegistry;
 class TopologyHandle;
 struct TopologySnapshot;
@@ -169,19 +170,6 @@ class World : public std::enable_shared_from_this<World> {
   /// on every control-plane publication — two per swap: fence + cutover).
   std::uint64_t topology_epoch() const;
 
-  /// TEST/INTERNAL control-plane entry point: re-route the (a, b) rank pair
-  /// (both directions) onto transport `t`, which must be one of this
-  /// world's transports and must reach both directions of the pair. Safe to
-  /// call mid-traffic from any non-rank thread: the pair is fenced (new
-  /// sends park in order), drained (in-flight messages on the old carrier
-  /// delivered, driven by this thread), then cut over — zero messages
-  /// lost, duplicated, or reordered. Serialized against other swaps by the
-  /// control mutex. NOT poll-safe: never call from a progress callback
-  /// (mpxlint's progress-contract check enforces this). This is the
-  /// mechanism ROADMAP item 5's join/leave and item 1's reconnect FSM will
-  /// drive.
-  void swap_topology_for_test(int a, int b, transport::Transport& t);
-
   // --- internal access (runtime layers; not for applications) ---
   core_detail::Vci& vci(int rank, int vci_id);
   /// The datapath's topology publication point (TopoRef pins through it).
@@ -190,6 +178,8 @@ class World : public std::enable_shared_from_this<World> {
   std::int32_t alloc_context_ids(int count);
 
  private:
+  friend struct core_detail::WorldAccess;
+
   explicit World(WorldConfig cfg);
   /// Lock-free VCI-table lookup: two acquire loads (published table length,
   /// then the slot pointer) — no lock since PR 5; writers serialize on the

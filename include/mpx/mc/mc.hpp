@@ -140,6 +140,17 @@ void mc_forget_atomic(const void* loc);
 /// Block the calling virtual thread until the next modeled store to `loc`.
 /// Returns false when not modeled (caller spins on the real value).
 bool mc_wait_change(const void* loc);
+/// FUTEX_WAIT model: block the calling virtual thread while `loc` holds
+/// `expected`, until mc_futex_wake(loc) — never on a timeout. False when
+/// not modeled (caller then waits on the real word).
+bool mc_futex_wait(const void* loc, std::uint64_t seed,
+                   std::uint64_t expected);
+/// FUTEX_WAKE model: wake every virtual thread blocked in mc_futex_wait on
+/// `loc`. False when not modeled.
+bool mc_futex_wake(const void* loc);
+/// Fence model (seq_cst: the fencing thread's later loads read no store
+/// older than the newest at the fence). False when not modeled.
+bool mc_fence(int mo);
 
 // Mutex modeling hooks used by mc::basic_mutex. The modeled grant happens
 // BEFORE the real lock is touched, so the real mutex is always free when a
@@ -164,6 +175,10 @@ inline bool weak_is_complete = false;
 /// holding the VCI mutex, letting a concurrent stream_create destroy the
 /// mutex mid-unlock.
 inline bool stream_free_publish_under_lock = false;
+/// base::Doorbell::ring skips its fence — the sleeper count it then reads
+/// relaxed may be stale, so a sleeper that registered before the ringer
+/// looked is never woken.
+inline bool doorbell_ring_unfenced = false;
 /// The shared LMT copy's count (LmtShare::copied) weakened to relaxed —
 /// reaching the total no longer orders the peer's chunk copies before the
 /// receiver completes.

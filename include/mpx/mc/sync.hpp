@@ -22,6 +22,19 @@
 
 #include "mpx/mc/mc.hpp"
 
+#include <chrono>
+#include <cstdint>
+
+namespace mpx::base {
+/// Block while `*word == expected`, until futex_wake_all(word) or
+/// `deadline` (steady_clock). Returns false only when the deadline passed;
+/// may return true spuriously. Linux futex; elsewhere a short sleep.
+bool futex_wait(std::atomic<std::uint32_t>* word, std::uint32_t expected,
+                std::chrono::steady_clock::time_point deadline);
+/// Wake every thread blocked in futex_wait on `word`.
+void futex_wake_all(std::atomic<std::uint32_t>* word);
+}  // namespace mpx::base
+
 #if !MPX_MODEL_CHECK
 
 #include <thread>
@@ -38,6 +51,20 @@ using rec_mutex = std::recursive_mutex;
 using spinlock = base::Spinlock;
 using thread = std::thread;
 inline void yield() { std::this_thread::yield(); }
+
+/// std::atomic_thread_fence. ThreadSanitizer does not model fences (gcc
+/// rejects them under -fsanitize=thread); code that needs one there uses an
+/// equivalent read-modify-write instead.
+inline void fence(std::memory_order mo) { std::atomic_thread_fence(mo); }
+
+/// Wait/notify on a 32-bit word (base::futex_wait / futex_wake_all).
+inline bool futex_wait(atomic<std::uint32_t>& word, std::uint32_t expected,
+                       std::chrono::steady_clock::time_point deadline) {
+  return base::futex_wait(&word, expected, deadline);
+}
+inline void futex_wake_all(atomic<std::uint32_t>& word) {
+  base::futex_wake_all(&word);
+}
 }  // namespace mpx::mc
 
 #else  // MPX_MODEL_CHECK
@@ -132,6 +159,16 @@ class atomic {
     return fetch_add(static_cast<T>(T(0) - delta), mo);
   }
 
+  /// Modeled as a CAS loop: the same outcomes as the single RMW.
+  T fetch_or(T bits, std::memory_order mo = std::memory_order_seq_cst)
+    requires std::is_integral_v<T>
+  {
+    T cur = load(std::memory_order_relaxed);
+    while (!compare_exchange_strong(cur, static_cast<T>(cur | bits), mo)) {
+    }
+    return cur;
+  }
+
   bool compare_exchange_strong(
       T& expected, T desired,
       std::memory_order mo = std::memory_order_seq_cst) {
@@ -157,6 +194,9 @@ class atomic {
     // The model never fails spuriously; weak == strong under the checker.
     return compare_exchange_strong(expected, desired, mo);
   }
+
+  /// The real storage, for waits outside a session (futex_wait below).
+  std::atomic<T>& native() noexcept { return v_; }
 
  private:
   std::atomic<T> v_{};
@@ -201,6 +241,25 @@ class basic_mutex {
 
 using mutex = basic_mutex<false>;
 using rec_mutex = basic_mutex<true>;
+
+/// Modeled fence (see detail::mc_fence); the real one outside a session.
+inline void fence(std::memory_order mo) {
+  if (!detail::mc_fence(static_cast<int>(mo))) std::atomic_thread_fence(mo);
+}
+
+/// Modeled FUTEX_WAIT: inside a session the deadline is ignored and only
+/// futex_wake_all ends the wait, so a lost wake-up shows as a deadlock.
+inline bool futex_wait(atomic<std::uint32_t>& word, std::uint32_t expected,
+                       std::chrono::steady_clock::time_point deadline) {
+  if (detail::mc_futex_wait(
+          &word, word.native().load(std::memory_order_relaxed), expected)) {
+    return true;
+  }
+  return base::futex_wait(&word.native(), expected, deadline);
+}
+inline void futex_wake_all(atomic<std::uint32_t>& word) {
+  if (!detail::mc_futex_wake(&word)) base::futex_wake_all(&word.native());
+}
 
 }  // namespace mpx::mc
 

@@ -36,10 +36,12 @@
 //
 // The shared poller calls core_detail::vci_poll on the resolved Vci — the
 // same compiled stage table every progress_test scan runs, no new virtual
-// hops on the poll path — and every engine thread backs off through the
-// shared spin/yield/sleep ladder when idle, charging WaitLadderCounters: an
-// idle engine provably parks on the sleep rung instead of burning a core
-// (stats().worker_rungs is the evidence the overlap bench checks in).
+// hops on the poll path — and every engine thread idles through
+// core_detail::poll_until: on a doorbell while the VCIs it serves are quiet
+// (a dedicated helper on its VCI's bell, the shared poller on the World's
+// helper bell, to which every attached VCI relays its rings), on the
+// spin/yield/sleep ladder otherwise. stats().worker_rungs is the evidence
+// the overlap bench checks in.
 #pragma once
 
 #include <atomic>
@@ -80,6 +82,12 @@ struct EngineSample {
   /// landed past the spin rung (yield + sleep): polls happening, but
   /// empty and backed off.
   std::uint64_t wait_backoffs = 0;
+  /// Bell waits the VCI's engine poller started this epoch: it found every
+  /// VCI it serves quiet and slept until rung (wait_policy.hpp). An epoch
+  /// with naps, or with no engine poll at all (inside one long wait), is a
+  /// slept epoch: it costs no core, so it holds the mode instead of
+  /// reading cold.
+  std::uint64_t engine_naps = 0;
 };
 
 /// The promote/demote decision rules, factored out of the runtime so tests
@@ -92,8 +100,9 @@ class EnginePolicy {
   /// A VCI with work pending whose application issued fewer progress calls
   /// than this in an epoch is starved (the app is not driving it).
   static constexpr std::uint64_t kPromoteAppPolls = 4;
-  /// An idle VCI (nothing pending) whose engine hit rate fell to or below
-  /// this walks one step down the mode ladder.
+  /// An idle VCI (nothing pending) whose engine polled it at a hit rate at
+  /// or below this, without ever sleeping on its bell, walks one step down
+  /// the mode ladder.
   static constexpr double kDemoteHitRate = 0.01;
   /// Consecutive epochs a promote/demote signal must persist before the
   /// transition is taken (flap damping at the thresholds).
@@ -178,8 +187,9 @@ class ProgressEngine {
     /// (never more than progress_engine.max_workers).
     int workers = 0;
     /// Aggregate idle-backoff rung occupancy of the shared poller and every
-    /// dedicated helper, past and present (monotonic). A parked engine
-    /// accumulates `sleep` — the not-burning-a-core evidence.
+    /// dedicated helper, past and present (monotonic). An idle engine on
+    /// quiet VCIs accumulates `bell` (the timed ladder's `sleep` otherwise)
+    /// — the not-burning-a-core evidence.
     core_detail::WaitLadderCounters::Snapshot worker_rungs;
   };
   Stats stats() const;
@@ -189,6 +199,9 @@ class ProgressEngine {
 
   void controller_loop();
   int poll_shared();
+  bool shared_quiet();
+  std::uint64_t serving_naps(const Slot& s) const;
+  void bell_in(Slot& s);
   void sample_and_decide();
   void apply_transition(Slot& s, EngineMode next);
   int poll_slot(Slot& s);

@@ -5,10 +5,12 @@
 // contends with every MPI call under MPI_THREAD_MULTIPLE, the application
 // spins progress on exactly the stream(s) that need it, where it knows by
 // design that background progress is required. Its loop is the one every
-// blocking wait runs (core_detail::poll_until, wait_policy.hpp): when
-// progress is idle it descends the spin/yield/sleep ladder of
-// WorldConfig::wait_*, so an idle helper parks on the sleep rung instead of
-// burning a core (the MVAPICH-style tuning the paper cites).
+// blocking wait runs (core_detail::poll_until, wait_policy.hpp). When every
+// VCI it serves is quiet, an empty round goes straight to a doorbell wait
+// that the runtime rings when work arrives, so an idle helper burns no
+// core at all (paper §5.1's cost argument for a global helper). A VCI that
+// is not quiet — NIC traffic in flight, async hooks pending — keeps the
+// spin/yield/sleep ladder of WorldConfig::wait_*.
 //
 // It is the library's only engine/helper polling loop. The adaptive engine
 // (task::ProgressEngine) runs its dedicated mode on one of these per
@@ -44,12 +46,19 @@ namespace mpx::task {
 /// see the thread's last poll.
 class ProgressThread {
  public:
-  /// Drive progress on one stream: the poll is stream_progress(stream).
+  /// Drive progress on one stream: the poll is stream_progress(stream),
+  /// and the thread sleeps on the stream's VCI bell while the VCI is quiet.
   explicit ProgressThread(Stream stream);
   /// Drive an arbitrary poll: `poll` returns nonzero when it made progress.
   /// The idle backoff follows `world`'s wait-ladder config
-  /// (WorldConfig::wait_*).
+  /// (WorldConfig::wait_*), with timed sleeps.
   ProgressThread(const World& world, std::function<int()> poll);
+  /// As above, and sleep on `bell` whenever `quiet()` reports every VCI
+  /// the poll serves quiet (core_detail::vci_quiet). Each of those VCIs
+  /// must ring `bell` (core_detail::vci_relay), and `bell` must outlive the
+  /// thread.
+  ProgressThread(const World& world, std::function<int()> poll,
+                 base::Doorbell* bell, std::function<bool()> quiet);
   ~ProgressThread();
 
   ProgressThread(const ProgressThread&) = delete;
@@ -67,7 +76,7 @@ class ProgressThread {
     return productive_.load(std::memory_order_relaxed);
   }
   /// Idle-backoff rung occupancy of this thread (monotonic): how many empty
-  /// polls were followed by a spin, a yield or a sleep.
+  /// polls were followed by a spin, a yield, a sleep or a quiet bell wait.
   core_detail::WaitLadderCounters::Snapshot rungs() const {
     return rungs_.snapshot();
   }
@@ -77,6 +86,8 @@ class ProgressThread {
 
   std::function<int()> poll_;
   core_detail::WaitPolicy wait_;
+  base::Doorbell* bell_ = nullptr;
+  std::function<bool()> quiet_;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> iterations_{0};
   std::atomic<std::uint64_t> productive_{0};

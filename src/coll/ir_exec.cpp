@@ -353,7 +353,8 @@ struct Slot {
 class SchedExecSource final : public ProgressSource {
  public:
   explicit SchedExecSource(World& w)
-      : nvcis_(w.config().max_vcis),
+      : world_(w),
+        nvcis_(w.config().max_vcis),
         slots_(static_cast<std::size_t>(w.config().nranks) *
                static_cast<std::size_t>(w.config().max_vcis)) {}
 
@@ -412,6 +413,8 @@ class SchedExecSource final : public ProgressSource {
         break;
       }
     }
+    // A helper asleep on the lane's VCI wakes to run the schedule.
+    core_detail::ring_vci(world_, rank, vci);
   }
 
  private:
@@ -457,6 +460,7 @@ class SchedExecSource final : public ProgressSource {
     }
   }
 
+  World& world_;
   const int nvcis_;
   std::vector<Slot> slots_;
 };

@@ -8,6 +8,7 @@
 #include "world_layers.hpp"
 
 #include "mpx/transport/builtin.hpp"
+#include "test_hooks.hpp"
 
 namespace mpx {
 
@@ -151,6 +152,9 @@ World::World(WorldConfig cfg) : s_(std::make_unique<State>()) {
   for (const auto& t : ctl.transports) tlist.push_back(t.get());
   core_detail::register_transport_sources(ctl.registry, tlist);
   ctl.registry.publish();
+  dp.bells = std::make_unique<base::Doorbell[]>(
+      static_cast<std::size_t>(cfg.nranks) *
+      static_cast<std::size_t>(cfg.max_vcis));
   dp.ranks.reserve(static_cast<std::size_t>(cfg.nranks));
   for (int r = 0; r < cfg.nranks; ++r) {
     auto rc = std::make_unique<RankCtx>();
@@ -302,13 +306,17 @@ std::int32_t World::alloc_context_ids(int count) {
   return s_->ctl.next_context_id.fetch_add(count, std::memory_order_relaxed);
 }
 
-void World::swap_topology_for_test(int a, int b, transport::Transport& t) {
-  expects(a >= 0 && a < size() && b >= 0 && b < size() && a != b,
+}  // namespace mpx
+
+namespace mpx::core_detail {
+
+void swap_topology_for_test(World& w, int a, int b, transport::Transport& t) {
+  expects(a >= 0 && a < w.size() && b >= 0 && b < w.size() && a != b,
           "swap_topology: bad rank pair");
   expects(t.reaches(a, b) && t.reaches(b, a),
           "swap_topology: transport does not reach the pair");
-  core_detail::ControlPlane& ctl = s_->ctl;
-  Datapath& dp = s_->dp;
+  ControlPlane& ctl = WorldAccess::state(w).ctl;
+  Datapath& dp = WorldAccess::state(w).dp;
   bool owned = false;
   for (const auto& u : ctl.transports) owned = owned || u.get() == &t;
   expects(owned, "swap_topology: transport not registered with this world");
@@ -348,8 +356,8 @@ void World::swap_topology_for_test(int a, int b, transport::Transport& t) {
   // endpoints from this thread is what moves it. A virtual clock must be
   // advanced or the simulated NIC's delivery deadlines never come due.
   // Idle rounds are charged to rank a's default VCI.
-  core_detail::poll_until(
-      core_detail::wait_policy(this), &vci(a, 0).wait_rungs,
+  poll_until(
+      wait_policy(&w), &w.vci(a, 0).wait_rungs,
       [&] {
         const int made = poll_rank(*dp.ranks[static_cast<std::size_t>(a)]) |
                          poll_rank(*dp.ranks[static_cast<std::size_t>(b)]);
@@ -363,8 +371,15 @@ void World::swap_topology_for_test(int a, int b, transport::Transport& t) {
   // Phase 3 — CUTOVER: unfence. Each VCI's next progress call flushes its
   // parked sends, oldest first, onto the new carrier — per-pair FIFO holds
   // because every pre-fence message was delivered in phase 2 and parked
-  // order is send order.
+  // order is send order. The rings wake helpers asleep on those VCIs.
   publish_pair(/*fence=*/false);
+  for (const int r : {a, b}) {
+    const std::uint32_t n = dp.ranks[static_cast<std::size_t>(r)]
+                                ->vci_count.load(std::memory_order_acquire);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ring_vci(w, r, static_cast<int>(i));
+    }
+  }
 }
 
-}  // namespace mpx
+}  // namespace mpx::core_detail

@@ -13,6 +13,18 @@ using core_detail::Vci;
 
 namespace core_detail {
 
+namespace {
+
+/// The bell of VCI slot (rank, vci), owned by the World (Datapath::bells).
+base::Doorbell& slot_bell(World& w, int rank, int vci) {
+  return WorldAccess::state(w)
+      .dp.bells[static_cast<std::size_t>(rank) *
+                    static_cast<std::size_t>(w.config().max_vcis) +
+                static_cast<std::size_t>(vci)];
+}
+
+}  // namespace
+
 // No thread-safety analysis: the guarded matcher/pool members are sized
 // here before the VCI is published, when no other thread can reach it (the
 // same construction-time exclusivity ~Vci relies on). Taking v->mu instead
@@ -37,7 +49,26 @@ std::unique_ptr<Vci> make_vci(World* w, int rank, int id,
   // this VCI's own.
   v->stages = w->progress_registry().compile();
   v->sink = make_vci_sink(*v);
+  v->bell = &slot_bell(*w, rank, id);
   return v;
+}
+
+void ring_vci(World& w, int rank, int vci) { slot_bell(w, rank, vci).ring(); }
+
+base::Doorbell& vci_bell(Vci& v) { return *v.bell; }
+
+bool vci_quiet(const Vci& v) {
+  if (v.hook_count.load(std::memory_order_relaxed) != 0) return false;
+  for (const auto& t : WorldAccess::state(*v.world).ctl.transports) {
+    if (!t->idle(v.rank, v.id)) return false;
+  }
+  return true;
+}
+
+void vci_relay(Vci& v, base::Doorbell* bell) { v.bell->set_relay(bell); }
+
+base::Doorbell& helper_bell(World& w) {
+  return WorldAccess::state(w).dp.helper_bell;
 }
 
 }  // namespace core_detail

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "matching.hpp"
+#include "mpx/base/doorbell.hpp"
 #include "mpx/base/instrumented_mutex.hpp"
 #include "mpx/core/comm_ext.hpp"
 #include "mpx/base/intrusive.hpp"
@@ -111,8 +112,8 @@ struct ParkedSend {
 /// an MPIX_Stream. VCI 0 is the default (MPIX_STREAM_NULL) context.
 ///
 /// Immutable after construction (set before the VCI is published): id,
-/// rank, world, default_mask, sink. Everything mutable is either guarded by
-/// `mu` or atomic.
+/// rank, world, default_mask, sink, bell. Everything mutable is either
+/// guarded by `mu` or atomic.
 ///
 /// Cache-line aligned: every rank's thread writes its own VCI on every
 /// message, and VCIs are allocated back to back, so without the alignment
@@ -190,6 +191,16 @@ struct alignas(64) Vci {
   /// progress engine's controller reads the deltas: waiters stuck on the
   /// yield/sleep rungs mean nobody's polling is productive — promote.
   WaitLadderCounters wait_rungs;
+
+  /// Rung whenever this VCI becomes pollable from outside its own progress
+  /// (wait_policy.hpp lists the ring points; ring_vci). Progress helpers
+  /// on this VCI sleep on it. Relays to the engine's
+  /// shared-poller bell while attached (ProgressEngine::attach). The bell
+  /// belongs to the VCI's slot in the World (Datapath::bells), not to the
+  /// Vci: a ringer that made a message visible may ring after the peer
+  /// completed, freed and recycled the stream.
+  // mpxlint: allow(tsa-ratchet) pointer immutable after publish
+  base::Doorbell* bell = nullptr;
 
   /// Compiled progress pipeline: one entry per registered ProgressSource,
   /// in registry order. The source/mask halves are immutable after make_vci

@@ -24,15 +24,18 @@ Request start_pack_op(dtype::PackDir dir, void* typed, std::size_t count,
                                                 std::move(dt), packed, chunk);
   r->total_bytes = work->total_bytes();
   r->ref_inc();  // the engine's completion cookie
-  base::LockGuard<base::InstrumentedMutex> g(v.mu);
-  v.pack_engine.submit(
-      std::move(work),
-      [](void* cookie) {
-        base::Ref<RequestImpl> req(static_cast<RequestImpl*>(cookie));
-        req->status.count_bytes = req->total_bytes;
-        core_detail::complete_request(req.get(), Err::success);
-      },
-      r);
+  {
+    base::LockGuard<base::InstrumentedMutex> g(v.mu);
+    v.pack_engine.submit(
+        std::move(work),
+        [](void* cookie) {
+          base::Ref<RequestImpl> req(static_cast<RequestImpl*>(cookie));
+          req->status.count_bytes = req->total_bytes;
+          core_detail::complete_request(req.get(), Err::success);
+        },
+        r);
+  }
+  v.bell->ring();
   return Request(base::Ref<RequestImpl>(r));
 }
 

@@ -61,6 +61,7 @@ void enqueue_hook(AsyncPollFn fn, void* state, const Stream& s,
   AsyncThing* t = AsyncRuntime::make(fn, state, s, deleter);
   v.hook_count.fetch_add(1, std::memory_order_relaxed);
   v.inbox_asyncs.push(std::move(t));
+  v.bell->ring();
 }
 
 /// Poll every hook on v's async list once. A hook returning done is

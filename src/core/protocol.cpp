@@ -52,10 +52,13 @@ void inject(Vci& v, const TopologySnapshot& topo, Msg&& m,
             std::uint64_t cookie) MPX_REQUIRES(v.mu) {
   const int src = m.h.src_rank;
   const int dst = m.h.dst_rank;
+  const int dst_vci = m.h.dst_vci;
   topo.pairs->count_sent(src, dst);
   if (topo.carrier(src, dst)->send(std::move(m), cookie) && cookie != 0) {
     v.synth_cq.push_back(cookie);
+    v.bell->ring();
   }
+  ring_vci(*v.world, dst, dst_vci);
 }
 
 /// Pop the oldest posted receive matching the header (MPI FIFO order, bin
@@ -128,9 +131,12 @@ void start_rndv_recv(Vci& v, base::Ref<RequestImpl> rreq, const MsgHeader& h)
       work.share = &peek_cookie(h.sender_cookie)->lmt;
       work.share->publish(static_cast<std::byte*>(rreq->buf),
                           std::min<std::uint64_t>(h.total_bytes, cap));
+      // The sender's lmt stage may claim chunks from now on.
+      ring_vci(*v.world, h.src_rank, h.src_vci);
     }
     work.rreq = std::move(rreq);
     v.lmt.push_back(std::move(work));
+    v.bell->ring();
     return;
   }
   // No shared mapping: CTS/DATA rendezvous — clear-to-send back to the
@@ -403,6 +409,7 @@ void route_send_eager(Vci& v, const MsgHeader& h, base::ConstByteSpan payload) {
   }
   topo.pairs->count_sent(h.src_rank, h.dst_rank);
   topo.carrier(h.src_rank, h.dst_rank)->send_eager(h, payload, 0);
+  ring_vci(*v.world, h.dst_rank, h.dst_vci);
 }
 
 int flush_parked(Vci& v) {
@@ -470,6 +477,11 @@ void lmt_progress(Vci& v, int* made_progress) {
     if (w.share != nullptr) {
       moved = w.share->copy_chunk(w.src, w.total, chunk) != 0;
       landed = w.share->copied_bytes();
+      // The sender landed the last chunk: the receiver acks on its next
+      // lmt poll, which nothing else would wake.
+      if (moved && w.sreq && landed >= w.total) {
+        ring_vci(*v.world, w.sreq->peer, w.sreq->peer_vci);
+      }
       // A chunk the peer finished counts as progress too: otherwise a
       // waiter here falls off the spin rung while the peer copies.
       moved = moved || landed != w.seen;

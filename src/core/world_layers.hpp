@@ -80,6 +80,16 @@ struct Datapath {
   PairCounters pairs;
   /// Per-rank VCI tables (lock-free lookup; see RankCtx).
   std::vector<std::unique_ptr<RankCtx>> ranks;
+  /// One doorbell per VCI slot, [rank * max_vcis + id] (Vci::bell). Owned
+  /// here, not by the Vci, so a ring never outlives its bell: the World
+  /// outlives every ringer, and a recycled slot's stale ring is a spurious
+  /// wake at worst.
+  std::unique_ptr<base::Doorbell[]> bells;
+  /// The bell of the engines' shared pollers (helper_bell): attached VCIs
+  /// relay their rings here. Owned by the World, not by an engine, because
+  /// a ringer that read a VCI's relay just before detach cleared it may
+  /// still ring it.
+  base::Doorbell helper_bell;
 };
 
 /// Construct one VCI (datapath.cpp). Runs before the VCI is published, so
@@ -99,3 +109,12 @@ struct World::State {
 };
 
 }  // namespace mpx
+
+namespace mpx::core_detail {
+
+/// The core's way past the World facade (World befriends it).
+struct WorldAccess {
+  static World::State& state(World& w) { return *w.s_; }
+};
+
+}  // namespace mpx::core_detail

@@ -101,6 +101,9 @@ struct Loc {
   std::array<int, kMaxThreads> stale_reads{};
   std::uint64_t next_seq = 1;
   std::vector<int> waiters;  // vthreads parked in mc_wait_change
+  // vthreads parked in mc_futex_wait: unlike `waiters`, a store does not
+  // wake them — only mc_futex_wake does, as only FUTEX_WAKE does.
+  std::vector<int> futex_waiters;
 };
 
 struct MutexSt {
@@ -188,6 +191,10 @@ class Session {
               std::uint64_t* observed, bool* success);
   void on_forget(const void* loc);
   bool on_wait_change(const void* loc);
+  bool on_futex_wait(const void* loc, std::uint64_t seed,
+                     std::uint64_t expected);
+  bool on_futex_wake(const void* loc);
+  bool on_fence(int mo);
   void on_mtx_lock(const void* m, bool recursive, const char* what);
   bool on_mtx_try_lock(const void* m, bool recursive, const char* what,
                        bool* acquired);
@@ -279,6 +286,7 @@ class Session {
     cv_.notify_all();
   }
   void block_cur(TState why, std::unique_lock<std::mutex>& lk);
+  std::string deadlock_report() const;
   void wake(int id) {
     if (vt_[id].state == TState::blocked_mutex ||
         vt_[id].state == TState::blocked_join ||
@@ -470,24 +478,28 @@ void Session::schedule_point(std::unique_lock<std::mutex>& lk) {
   }
 }
 
+std::string Session::deadlock_report() const {
+  std::ostringstream os;
+  os << "deadlock: all virtual threads blocked (";
+  for (int i = 0; i < nthreads_; ++i) {
+    os << 'T' << i << '='
+       << (vt_[i].state == TState::blocked_mutex  ? "mutex"
+           : vt_[i].state == TState::blocked_join ? "join"
+           : vt_[i].state == TState::blocked_loc  ? "loc"
+           : vt_[i].state == TState::finished     ? "done"
+                                                  : "?")
+       << (i + 1 < nthreads_ ? " " : "");
+  }
+  os << ")";
+  return os.str();
+}
+
 void Session::block_cur(TState why, std::unique_lock<std::mutex>& lk) {
   const int me = cur_;
   vt_[me].state = why;
   auto r = runnable();
   if (r.empty()) {
-    std::ostringstream os;
-    os << "deadlock: all virtual threads blocked (";
-    for (int i = 0; i < nthreads_; ++i) {
-      os << 'T' << i << '='
-         << (vt_[i].state == TState::blocked_mutex  ? "mutex"
-             : vt_[i].state == TState::blocked_join ? "join"
-             : vt_[i].state == TState::blocked_loc  ? "loc"
-             : vt_[i].state == TState::finished     ? "done"
-                                                    : "?")
-         << (i + 1 < nthreads_ ? " " : "");
-    }
-    os << ")";
-    fail(os.str(), /*fatal=*/true);
+    fail(deadlock_report(), /*fatal=*/true);
     park(lk);
   }
   // Forced switch, not a preemption: the blocker cannot continue.
@@ -623,7 +635,7 @@ void Session::on_forget(const void* loc) {
   MPX_MC_ENTER();
   auto it = locs_.find(loc);
   if (it == locs_.end()) return;
-  if (!it->second.waiters.empty()) {
+  if (!it->second.waiters.empty() || !it->second.futex_waiters.empty()) {
     fail("atomic destroyed while a virtual thread waits on it "
          "(use-after-free)",
          /*fatal=*/true);
@@ -639,6 +651,52 @@ bool Session::on_wait_change(const void* loc) {
   it->second.waiters.push_back(cur_);
   block_cur(TState::blocked_loc, lk);
   return mode_ == Mode::explore;
+}
+
+bool Session::on_futex_wait(const void* loc, std::uint64_t seed,
+                            std::uint64_t expected) {
+  MPX_MC_ENTER(false);
+  schedule_point(lk);
+  if (mode_ != Mode::explore) return false;
+  Loc& l = loc_at(loc, seed);
+  // The kernel compares against the word's current value and queues the
+  // waiter in one step: no schedule point between the two. The model has
+  // no timeout, so a wake-up nobody sends is a deadlock report.
+  const std::uint64_t now = l.hist.back().val;
+  logop("futex.wait", loc, now);
+  if (now != expected) return true;
+  l.futex_waiters.push_back(cur_);
+  block_cur(TState::blocked_loc, lk);
+  return mode_ == Mode::explore;
+}
+
+bool Session::on_futex_wake(const void* loc) {
+  MPX_MC_ENTER(false);
+  schedule_point(lk);
+  if (mode_ != Mode::explore) return false;
+  auto it = locs_.find(loc);
+  if (it != locs_.end()) {
+    for (int w : it->second.futex_waiters) wake(w);
+    it->second.futex_waiters.clear();
+  }
+  logop("futex.wake", loc, 0);
+  return true;
+}
+
+bool Session::on_fence(int mo) {
+  MPX_MC_ENTER(false);
+  schedule_point(lk);
+  if (mode_ != Mode::explore) return false;
+  // Only the store->load (Dekker) half of a seq_cst fence is modeled: the
+  // fencing thread's later loads read no store older than the newest one
+  // at the fence. The interleaving is already sequentially consistent, so
+  // this is what separates a fenced relaxed load from an unfenced one.
+  if (static_cast<std::memory_order>(mo) == std::memory_order_seq_cst) {
+    for (auto& [p, l] : locs_) l.last_seen[cur_] = l.hist.back().seq;
+  }
+  vt_[cur_].clk[cur_]++;
+  logop("fence", nullptr, static_cast<std::uint64_t>(mo));
+  return true;
 }
 
 void Session::on_mtx_lock(const void* m, bool recursive, const char* what) {
@@ -826,6 +884,14 @@ int Session::spawn(std::function<void()> fn) {
         self->vt_[self->cur_].state = TState::running;
       } else {
         self->cur_ = -1;
+        // The last runnable thread left while others still wait on it (a
+        // futex wake-up it never sent): nobody can ever run again.
+        for (int j = 0; j < self->nthreads_; ++j) {
+          if (self->vt_[j].state != TState::finished) {
+            self->fail(self->deadlock_report(), /*fatal=*/true);
+            break;
+          }
+        }
       }
     }
     self->cv_.notify_all();
@@ -1115,6 +1181,14 @@ void mc_forget_atomic(const void* loc) {
 bool mc_wait_change(const void* loc) {
   return tl_session && tl_session->on_wait_change(loc);
 }
+bool mc_futex_wait(const void* loc, std::uint64_t seed,
+                   std::uint64_t expected) {
+  return tl_session && tl_session->on_futex_wait(loc, seed, expected);
+}
+bool mc_futex_wake(const void* loc) {
+  return tl_session && tl_session->on_futex_wake(loc);
+}
+bool mc_fence(int mo) { return tl_session && tl_session->on_fence(mo); }
 void mtx_lock(const void* m, bool recursive, const char* what) {
   if (tl_session) tl_session->on_mtx_lock(m, recursive, what);
 }

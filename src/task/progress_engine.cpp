@@ -21,7 +21,11 @@
 //   - The poll itself is core_detail::vci_poll (stream_progress in a
 //     helper) — the compiled stage table behind every progress_test call.
 //     Engine threads hold no lock around it and block nowhere; idle ones
-//     descend the spin/yield/sleep ladder.
+//     sleep on a doorbell while their VCIs are quiet and descend the
+//     spin/yield/sleep ladder otherwise. attach() points the VCI's bell at
+//     the World's helper bell (the shared poller's), detach() unpoints it
+//     after its handshake; the bell is the World's, so a ringer racing
+//     the detach rings a live bell.
 //   - Engine threads are pure DATAPATH: each poll pins the VCI's
 //     TopologySnapshot with one acquire-load (TopoRef inside the entry
 //     point) and may run concurrently with a control-plane topology swap —
@@ -83,6 +87,7 @@ struct ProgressEngine::Slot {
   std::uint64_t prev_progress_calls = 0;
   std::uint64_t prev_engine_polls = 0;
   std::uint64_t prev_engine_hits = 0;
+  std::uint64_t prev_naps = 0;  ///< serving_naps at the last sample
   World::WaitRungCounters prev_rungs;
   EnginePolicy policy;
 };
@@ -101,7 +106,13 @@ EngineMode EnginePolicy::decide(EngineMode current, const EngineSample& s,
   // waiters fell off the spin rung (polling, but empty and backed off).
   const bool app_starved =
       s.pending > 0 && (s.app_polls < kPromoteAppPolls || s.wait_backoffs > 0);
-  const bool gone_cold = s.pending == 0 && hit_rate <= kDemoteHitRate;
+  // An epoch whose poller slept on its bell holds the mode: a sleeping
+  // poller costs no core, and demoting would only re-promote on the next
+  // burst of work. It slept when it started a bell wait, or when it did
+  // not poll at all (one wait spans several epochs).
+  const bool slept = s.engine_naps > 0 || s.engine_polls == 0;
+  const bool gone_cold =
+      s.pending == 0 && !slept && hit_rate <= kDemoteHitRate;
 
   switch (current) {
     case EngineMode::inline_poll:
@@ -180,7 +191,12 @@ void ProgressEngine::stop() {
     if (shared_) shared_->stop();
     const int n = slot_count_.load(std::memory_order_relaxed);
     for (int i = 0; i < n; ++i) {
-      retire_helper(*slots_[static_cast<std::size_t>(i)]);
+      Slot& s = *slots_[static_cast<std::size_t>(i)];
+      retire_helper(s);
+      // Attached streams outlive the engine's pollers: stop relaying.
+      if (!s.detached.load(std::memory_order_relaxed)) {
+        core_detail::vci_relay(*s.vci, nullptr);
+      }
     }
   });
 }
@@ -202,6 +218,7 @@ void ProgressEngine::attach(const Stream& stream) {
       s.policy = EnginePolicy(cfg_);
       prime(s);
       s.detached.store(false, std::memory_order_relaxed);
+      bell_in(s);
     }
     return;
   }
@@ -210,8 +227,15 @@ void ProgressEngine::attach(const Stream& stream) {
   auto s = std::make_unique<Slot>(cfg_, stream,
                                   &world_.vci(stream.rank(), stream.vci()));
   prime(*s);
+  Slot& fresh = *s;
   slots_[static_cast<std::size_t>(n)] = std::move(s);
   slot_count_.store(n + 1, std::memory_order_release);
+  bell_in(fresh);
+}
+
+void ProgressEngine::bell_in(Slot& s) {
+  core_detail::vci_relay(*s.vci, &core_detail::helper_bell(world_));
+  core_detail::vci_bell(*s.vci).ring();
 }
 
 void ProgressEngine::prime(Slot& s) {
@@ -223,6 +247,20 @@ void ProgressEngine::prime(Slot& s) {
   s.prev_engine_polls = s.polls();
   s.prev_engine_hits = s.hits();
   s.prev_rungs = world_.vci_wait_rungs(rank, id);
+  s.prev_naps = serving_naps(s);
+}
+
+std::uint64_t ProgressEngine::serving_naps(const Slot& s) const {
+  // attach_mu_ held.
+  switch (s.mode.load(std::memory_order_relaxed)) {
+    case EngineMode::shared:
+      return shared_ ? shared_->rungs().bell : 0;
+    case EngineMode::dedicated:
+      return s.helper ? s.helper->rungs().bell : 0;
+    case EngineMode::inline_poll:
+      break;
+  }
+  return 0;
 }
 
 void ProgressEngine::detach(const Stream& stream) {
@@ -239,6 +277,7 @@ void ProgressEngine::detach(const Stream& stream) {
     while (shared_polling_.load(std::memory_order_seq_cst) == i) {
       std::this_thread::yield();
     }
+    core_detail::vci_relay(*s.vci, nullptr);
     return;
   }
 }
@@ -262,6 +301,7 @@ ProgressEngine::Stats ProgressEngine::stats() const {
     out.worker_rungs.spin += r.spin;
     out.worker_rungs.yield += r.yield;
     out.worker_rungs.sleep += r.sleep;
+    out.worker_rungs.bell += r.bell;
   };
   const int n = slot_count_.load(std::memory_order_relaxed);
   out.vcis.reserve(static_cast<std::size_t>(n));
@@ -315,6 +355,25 @@ int ProgressEngine::poll_shared() {
   return 0;
 }
 
+bool ProgressEngine::shared_quiet() {
+  // Shared poller only, after an empty poll: may it sleep on the helper
+  // bell? Each VCI is read under the same detach handoff as a poll.
+  const int n = slot_count_.load(std::memory_order_acquire);
+  bool quiet = true;
+  for (int i = 0; i < n && quiet; ++i) {
+    Slot& s = *slots_[static_cast<std::size_t>(i)];
+    if (s.mode.load(std::memory_order_relaxed) != EngineMode::shared) {
+      continue;
+    }
+    shared_polling_.store(i, std::memory_order_seq_cst);
+    if (s.mode.load(std::memory_order_seq_cst) == EngineMode::shared) {
+      quiet = core_detail::vci_quiet(*s.vci);
+    }
+    shared_polling_.store(-1, std::memory_order_seq_cst);
+  }
+  return quiet;
+}
+
 int ProgressEngine::live_threads() const {
   // attach_mu_ held.
   return (shared_ ? 1 : 0) + helpers_;
@@ -332,6 +391,7 @@ void ProgressEngine::retire_helper(Slot& s) {
   retired_rungs_.spin += r.spin;
   retired_rungs_.yield += r.yield;
   retired_rungs_.sleep += r.sleep;
+  retired_rungs_.bell += r.bell;
   s.helper.reset();
   --helpers_;
 }
@@ -354,8 +414,12 @@ void ProgressEngine::apply_transition(Slot& s, EngineMode next) {
         expects(live_threads() < cfg_.max_workers,
                 "ProgressEngine: worker ceiling exceeded");
         shared_ = std::make_unique<ProgressThread>(
-            world_, [this] { return poll_shared(); });
+            world_, [this] { return poll_shared(); },
+            &core_detail::helper_bell(world_),
+            [this] { return shared_quiet(); });
       }
+      // A poller asleep on quiet VCIs wakes to take this one in.
+      core_detail::helper_bell(world_).ring();
       break;
     case EngineMode::dedicated:
       // The shared poller skips the slot from its next pass on.
@@ -401,8 +465,12 @@ void ProgressEngine::sample_and_decide() {
     const bool can_grow = live_threads() < cfg_.max_workers ||
                           (cur == EngineMode::inline_poll && shared_);
 
+    smp.engine_naps = serving_naps(s) - s.prev_naps;
+
     const EngineMode next = s.policy.decide(cur, smp, can_grow);
     if (next != cur) apply_transition(s, next);
+    // After a transition the slot's poller, and so its nap count, changed.
+    s.prev_naps = serving_naps(s);
   }
 }
 

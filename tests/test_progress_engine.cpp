@@ -54,7 +54,8 @@ EngineSample app_polling_sample() {
 }
 
 EngineSample cold_sample() {
-  EngineSample s;  // pending == 0, no polls anywhere
+  EngineSample s;  // pending == 0; the engine polls and never hits
+  s.engine_polls = 100;
   return s;
 }
 
@@ -173,6 +174,24 @@ TEST(EnginePolicyTest, DemotesDownTheLadderWhenCold) {
             EngineMode::inline_poll);
 }
 
+TEST(EnginePolicyTest, SleptEpochHoldsTheMode) {
+  // Nothing pending and no hits, but the VCI's poller slept on its bell —
+  // it started a bell wait, or it never polled at all (one wait spans
+  // several epochs). A sleeping poller costs no core, so neither shared
+  // nor dedicated walks down.
+  EngineSample napped = cold_sample();
+  napped.engine_naps = 3;
+  const EngineSample asleep;  // no polls, no naps: inside one long wait
+  for (const EngineMode m : {EngineMode::shared, EngineMode::dedicated}) {
+    EnginePolicy p(policy_cfg());
+    for (int i = 0; i < 10 * EnginePolicy::kHysteresis; ++i) {
+      EXPECT_EQ(p.decide(m, i % 3 == 0 ? napped : asleep, true), m);
+    }
+    // A cold epoch still needs its full streak after a slept one.
+    EXPECT_EQ(p.decide(m, cold_sample(), true), m);
+  }
+}
+
 TEST(EnginePolicyTest, BusySharedVciIsNotDemoted) {
   EnginePolicy p(policy_cfg());
   EngineSample s;
@@ -232,19 +251,16 @@ TEST(ProgressEngineTest, PromotesWhileApplicationComputes) {
   EXPECT_GE(st.promotions, 1u) << "completion without a promotion?";
   EXPECT_GE(st.workers, 1);
 
-  // Workload over: the engine must demote back to inline and park its
-  // workers on the sleep rung instead of burning a core.
+  // Workload over: the VCI is quiet, so its poller sleeps on its bell
+  // instead of burning a core — and a slept epoch holds the mode, so the
+  // next burst of work finds the VCI still served.
+  const std::uint64_t slept = eng.stats().worker_rungs.bell;
   EXPECT_TRUE(wait_until(
-      [&] {
-        return eng.mode_of(w->null_stream(0)) == EngineMode::inline_poll;
-      },
-      std::chrono::seconds(20)));
-  EXPECT_GE(eng.stats().demotions, 1u);
-  const std::uint64_t slept = eng.stats().worker_rungs.sleep;
-  EXPECT_TRUE(wait_until(
-      [&] { return eng.stats().worker_rungs.sleep > slept; },
+      [&] { return eng.stats().worker_rungs.bell > slept + 10; },
       std::chrono::seconds(20)))
-      << "idle engine workers never reached the sleep rung";
+      << "idle engine workers never slept on their bell";
+  EXPECT_NE(eng.mode_of(w->null_stream(0)), EngineMode::inline_poll);
+  EXPECT_EQ(eng.stats().demotions, 0u);
 
   eng.stop();
   w->finalize_rank(0);
@@ -383,6 +399,49 @@ TEST(ProgressEngineTest, DrivesHookOnlyWork) {
   eng.stop();
   w->stream_free(s);
   w->finalize_rank(0);
+}
+
+TEST(ProgressEngineTest, IdleStreamIsNotDemotedWhileItsPollerSleeps) {
+  // Promote a stream (a receive is pending and the application never
+  // polls), then take the work away. The VCI is quiet, so its poller
+  // sleeps on its bell; those slept epochs hold the mode instead of reading
+  // cold, for many times the demotion hysteresis.
+  WorldConfig cfg{.nranks = 2};
+  cfg.progress_engine.epoch_us = 200;
+  auto w = World::create(cfg);
+  task::ProgressEngine eng(*w);
+  const Stream s = w->null_stream(0);
+  eng.attach(s);
+
+  std::int32_t v = 0;
+  Request r = w->comm_world(0).irecv(&v, 1, dtype::Datatype::int32(), 1, 0);
+  ASSERT_TRUE(wait_until(
+      [&] { return eng.mode_of(s) != EngineMode::inline_poll; },
+      std::chrono::seconds(10)));
+  r.cancel();
+  ASSERT_TRUE(r.is_complete());
+  EXPECT_EQ(w->vci_pending(0, 0), 0);
+
+  const EngineMode held = eng.mode_of(s);
+  const auto before = eng.stats();
+  constexpr std::uint64_t kEpochs = 20 * EnginePolicy::kHysteresis;
+  ASSERT_TRUE(wait_until(
+      [&] { return eng.stats().epochs >= before.epochs + kEpochs; },
+      std::chrono::seconds(20)));
+  const auto after = eng.stats();
+  EXPECT_EQ(eng.mode_of(s), held);
+  EXPECT_EQ(after.demotions, 0u);
+  EXPECT_GT(after.worker_rungs.bell, before.worker_rungs.bell)
+      << "the idle poller never slept on its bell";
+  EXPECT_EQ(after.worker_rungs.spin + after.worker_rungs.yield +
+                after.worker_rungs.sleep,
+            before.worker_rungs.spin + before.worker_rungs.yield +
+                before.worker_rungs.sleep)
+      << "a poller of quiet VCIs climbed the timed ladder";
+
+  eng.stop();
+  w->finalize_rank(0);
+  w->finalize_rank(1);
 }
 
 TEST(ProgressEngineTest, WorkerBudgetCountsDedicatedHelpers) {

@@ -232,19 +232,20 @@ TEST(ProgressThread, SleepBackoffIdlesCheaply) {
   auto w = World::create(WorldConfig{.nranks = 1});
   task::ProgressThread pt(w->null_stream(0));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  // On a loaded host the spin and yield rungs can outlast 50 ms; give the
-  // helper time to reach the sleep rung before judging its idle cost.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (pt.rungs().sleep == 0 &&
+  while (pt.rungs().bell == 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   pt.stop();
-  // An idle helper descends the MPX_WAIT_* ladder to its exponential sleep
-  // rung, so it polls orders of magnitude less than a busy spinner would
-  // (~millions in 50 ms).
-  EXPECT_LT(pt.iterations(), 100000u);
+  // A helper on a quiet VCI sleeps on the VCI's bell from its first empty
+  // round (wait_policy.hpp): no spin, yield or timed-sleep rung, and about
+  // one poll per safety timeout instead of the millions a busy spinner
+  // would issue in 50 ms.
+  EXPECT_LT(pt.iterations(), 10000u);
   EXPECT_GT(pt.iterations(), 0u);
-  EXPECT_GT(pt.rungs().sleep, 0u);
+  const auto r = pt.rungs();
+  EXPECT_GT(r.bell, 0u);
+  EXPECT_EQ(r.spin + r.yield + r.sleep, 0u);
 }

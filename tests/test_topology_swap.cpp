@@ -1,5 +1,6 @@
-// Live topology-swap tests: World::swap_topology_for_test re-routes a rank
-// pair shm <-> nic mid-traffic and not one message may be lost, duplicated,
+// Live topology-swap tests: core_detail::swap_topology_for_test (the
+// test-internal hook in src/core/test_hooks.hpp) re-routes a rank pair
+// shm <-> nic mid-traffic and not one message may be lost, duplicated,
 // or reordered. The functional tests pin down the observable contract
 // (delivery, FIFO, epoch accounting, route table); the threaded stress
 // test hammers bidirectional sequenced traffic on 4 ranks while a control
@@ -14,6 +15,7 @@
 
 #include "mpx/base/thread.hpp"
 #include "mpx/mpx.hpp"
+#include "src/core/test_hooks.hpp"
 #include "test_util.hpp"
 
 using namespace mpx;
@@ -42,14 +44,14 @@ TEST(TopologySwap, EpochAndRouteAccounting) {
   EXPECT_EQ(&w->route(0, 1), shm);     // same-node: shm wins first-match
 
   // Each swap publishes twice: fence, then cutover.
-  w->swap_topology_for_test(0, 1, *nic);
+  core_detail::swap_topology_for_test(*w, 0, 1, *nic);
   EXPECT_EQ(w->topology_epoch(), 3u);
   EXPECT_EQ(&w->route(0, 1), nic);
   EXPECT_EQ(&w->route(1, 0), nic);
   EXPECT_EQ(&w->route(2, 3), shm) << "untouched pairs keep their carrier";
   EXPECT_EQ(&w->route(0, 2), nic);
 
-  w->swap_topology_for_test(0, 1, *shm);
+  core_detail::swap_topology_for_test(*w, 0, 1, *shm);
   EXPECT_EQ(w->topology_epoch(), 5u);
   EXPECT_EQ(&w->route(0, 1), shm);
   for (int r = 0; r < 4; ++r) w->finalize_rank(r);
@@ -84,9 +86,9 @@ TEST(TopologySwap, MidTrafficSwapLosesNothing) {
 
   // Swap with the full burst in flight (sends posted, nothing waited):
   // fence -> drain the old carrier -> cut over; then again, back.
-  w->swap_topology_for_test(0, 1, *nic);
+  core_detail::swap_topology_for_test(*w, 0, 1, *nic);
   EXPECT_EQ(&w->route(0, 1), nic);
-  w->swap_topology_for_test(0, 1, *shm);
+  core_detail::swap_topology_for_test(*w, 0, 1, *shm);
 
   // Single-threaded completion: wait() drives only the request's own VCI,
   // and rendezvous needs BOTH endpoints polled (CTS from the receiver,
@@ -135,7 +137,7 @@ TEST(TopologySwap, StressBidirectionalTrafficWhileSwapping) {
         // The rank threads make their own progress; just wait for traffic.
       }
       if (done.load(std::memory_order_acquire)) break;
-      w->swap_topology_for_test(0, 1, s % 2 == 0 ? *nic : *shm);
+      core_detail::swap_topology_for_test(*w, 0, 1, s % 2 == 0 ? *nic : *shm);
     }
   });
 

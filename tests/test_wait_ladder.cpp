@@ -7,6 +7,9 @@
 //     except for progress_until and the waits built on it, which only an
 //     async hook completes and which stay on the spin rung whatever the
 //     ladder says (core_detail::kFullRateSpin).
+// A progress helper climbs the same ladder while its VCI is not quiet; on a
+// quiet VCI it sleeps on the VCI's bell instead and charges no rung at all
+// (QuietHelper below).
 // The late work is released from another thread once the waiter is seen on
 // the ladder (or after kPatience, so a waiter that charges nothing fails
 // instead of hanging).
@@ -16,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -26,6 +30,7 @@
 #include "mpx/task/notifier.hpp"
 #include "mpx/task/progress_thread.hpp"
 #include "mpx/task/task_queue.hpp"
+#include "src/core/test_hooks.hpp"
 #include "test_util.hpp"
 
 using namespace mpx;
@@ -273,19 +278,30 @@ const Waiter kWaiters[] = {
      [](World& w) {
        transport::Transport& shm = *w.find_transport("shm");
        transport::Transport& nic = *w.find_transport("nic");
-       w.swap_topology_for_test(0, 1, nic);
+       core_detail::swap_topology_for_test(w, 0, 1, nic);
        std::int32_t out = 7, in = 0;
        w.comm_world(0).send(&out, 1, kInt, 1, 0);
        const Rungs d =
-           charged(w, [&] { w.swap_topology_for_test(0, 1, shm); });
+           charged(w, [&] {
+             core_detail::swap_topology_for_test(w, 0, 1, shm);
+           });
        w.comm_world(1).recv(&in, 1, kInt, 0, 0);
        EXPECT_EQ(in, 7);
        return d;
      }},
     {"ProgressThread_run",
      // A helper thread charges its own counters, not the VCI it polls: the
-     // engine must not read its own pollers as stuck waiters.
+     // engine must not read its own pollers as stuck waiters. A pending
+     // hook keeps the VCI from being quiet, so the helper keeps the ladder;
+     // finalize_rank retires the hook.
      [](World& w) {
+       auto release = std::make_shared<std::atomic<bool>>(false);
+       async_start(
+           [release] {
+             return release->load() ? AsyncResult::done
+                                    : AsyncResult::noprogress;
+           },
+           w.null_stream(0));
        const Rungs vci_before = waited(w);
        task::ProgressThread pt(w.null_stream(0));
        const auto give_up = std::chrono::steady_clock::now() + kPatience;
@@ -294,8 +310,10 @@ const Waiter kWaiters[] = {
          std::this_thread::sleep_for(std::chrono::microseconds(100));
        }
        pt.stop();
+       release->store(true);
        EXPECT_EQ(total(minus(waited(w), vci_before)), 0u);
        const auto r = pt.rungs();
+       EXPECT_EQ(r.bell, 0u) << "a helper with a hook pending slept";
        return Rungs{r.spin, r.yield, r.sleep};
      }},
 };
@@ -335,6 +353,31 @@ TEST_P(WaitLadder, IdleRoundsChargeTheWaitedVciOnTheConfiguredRung) {
     EXPECT_GT(d.*lands, 0u) << "the wait charged no idle round";
     EXPECT_EQ(total(d), d.*lands) << "an idle round left its rung";
     for (int r = 0; r < cfg.nranks; ++r) w->finalize_rank(r);
+  }
+}
+
+TEST(QuietHelper, SleepsOnItsBellAndChargesNoRung) {
+  // Nothing pending and no transport traffic: whatever the ladder says, a
+  // helper's empty rounds go straight to the VCI's bell.
+  for (const Ladder& l : kLadders) {
+    SCOPED_TRACE(l.name);
+    WorldConfig cfg;
+    cfg.nranks = 4;
+    cfg.ranks_per_node = 2;
+    cfg.wait_spin = l.spin;
+    cfg.wait_yield = l.yield;
+    auto w = World::create(cfg);
+    const Rungs vci_before = waited(*w);
+    task::ProgressThread pt(w->null_stream(0));
+    const auto give_up = std::chrono::steady_clock::now() + kPatience;
+    while (pt.rungs().bell < 3 && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    pt.stop();
+    const auto r = pt.rungs();
+    EXPECT_GE(r.bell, 3u);
+    EXPECT_EQ(r.spin + r.yield + r.sleep, 0u);
+    EXPECT_EQ(total(minus(waited(*w), vci_before)), 0u);
   }
 }
 

@@ -12,10 +12,11 @@ namespace fix {
 
 struct Vci;
 struct Transport;
+struct World;
 
-struct World {
-  void swap_topology_for_test(int a, int b, Transport& t);
-};
+namespace core_detail {
+void swap_topology_for_test(World& w, int a, int b, Transport& t);
+}  // namespace core_detail
 
 struct ProgressSource {
   virtual bool idle(Vci& v) = 0;
@@ -23,7 +24,7 @@ struct ProgressSource {
 };
 
 void maybe_reroute(World& w, Transport& t) {
-  w.swap_topology_for_test(0, 1, t);  // control-plane writer from poll
+  core_detail::swap_topology_for_test(w, 0, 1, t);  // writer from poll
 }
 
 struct RerouteSource final : ProgressSource {

@@ -60,6 +60,9 @@ MODELED_FILES = (
     # test_mc_topology_swap.cpp (publish/read/reclaim interleavings).
     "include/mpx/core/topology.hpp",
     "src/core/world_layers.hpp",
+    # The idle pollers' doorbell (sleeper registration vs ring, futex
+    # wait/wake) — modeled by test_mc_doorbell.cpp.
+    "include/mpx/base/doorbell.hpp",
     # Fixture self-tests exercise the modeled-file rules on these. Listed
     # individually (not as a directory prefix) because the mc-coverage
     # inverse guard needs a fixture that is NOT in the modeled set
@@ -174,6 +177,8 @@ INTERNALLY_SYNCED_TYPES = (
     # RCU publication point: one atomic pointer, synchronized by the
     # publish/pin/quiesce protocol in topology.hpp.
     "TopologyHandle",
+    # Futex word + sleeper count, synchronized by its ring/wait protocol.
+    "Doorbell",
 )
 
 # Return types of well-known accessor helpers, used by the textual engine
