@@ -183,6 +183,10 @@ inline bool doorbell_ring_unfenced = false;
 /// reaching the total no longer orders the peer's chunk copies before the
 /// receiver completes.
 inline bool weak_lmt_done = false;
+/// The shm ring's lap-word publish weakened to relaxed — a published cell
+/// no longer orders the producer's header and payload writes before the
+/// consumer's read-out.
+inline bool weak_shm_publish = false;
 }  // namespace mut
 
 }  // namespace mpx::mc

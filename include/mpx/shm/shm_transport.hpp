@@ -19,14 +19,21 @@
 //    the exporter's buffer address; the receiver copies directly and
 //    replies with an `ack`. Those control messages are header-only cells.
 //
-// Ring protocol. Producers (any thread holding some VCI lock of the source
-// rank) serialize on a per-channel spinlock and publish a cell with one
-// release store of `head`; the consumer (serialized externally by the
-// destination VCI's lock — see poll()) drains up to `deliver_batch` cells
-// with a single acquire load of `head` and republishes `tail` once per
-// batch, amortizing the fence pair over the whole batch. Inline cells are
-// handed to the sink as zero-copy views (TransportSink::on_msg_inline);
-// the slot is reused only after the batch's tail publish.
+// Ring protocol. Every cell begins with a lap word (the FastForward /
+// bounded-MPMC sequence scheme): cell `idx` reads `idx` while it is free for
+// the producer whose private `head` is `idx`, `idx + 1` once that producer
+// has published it with one release store, and `idx + cells` after the
+// consumer's handler returned and a release store freed it for the next lap.
+// Producers (any thread holding some VCI lock of the source rank) serialize
+// on a per-channel spinlock that also guards `head`; the consumer
+// (serialized externally by the destination VCI's lock — see poll()) keeps
+// its own `tail` and drains up to `deliver_batch` ready cells per channel
+// per poll. Neither side reads the other's index: the lap word is the only
+// word they share, and it sits on the line that carries the message, so an
+// in-slot eager message moves one cache line to publish and one to consume.
+// Inline cells are handed to the sink as zero-copy views
+// (TransportSink::on_msg_inline); a cell is reused only after its handler
+// returned.
 //
 // Because ranks share one address space here, the "shared segment" is a
 // per-channel arena allocated lazily on first use; queue discipline,
@@ -59,8 +66,10 @@ struct ShmStats {
   /// probes the ring — is NOT counted: this counts full-slot stalls.
   std::uint64_t ring_full_events = 0;
   std::uint64_t delivered = 0;
-  /// Delivery drains that moved two or more cells under one acquire/publish
-  /// pair (the fence-amortization the batched consumer exists for).
+  /// Delivery drains that moved two or more cells from one channel in one
+  /// poll (one count per such drain). Each cell still has its own lap-word
+  /// acquire and release; the batch amortizes the caller's matcher lock and
+  /// the per-channel scan, not a fence pair.
   std::uint64_t batched_deliveries = 0;
   /// Non-empty payloads stored directly in the cell slot (no pooled block).
   std::uint64_t inline_payload_hits = 0;
@@ -72,7 +81,7 @@ class ShmTransport final : public transport::Transport {
   /// copied into the cell, larger eager payloads ride in a pooled block the
   /// cell references.
   static constexpr std::size_t kSlotBytes = 256;
-  /// Cells delivered per channel per poll under one acquire/publish pair.
+  /// Cells delivered per channel per poll.
   static constexpr int kDeliverBatch = 16;
 
   /// `nranks` endpoints, `max_vcis` channels each. `cells` per-channel ring
@@ -145,44 +154,73 @@ class ShmTransport final : public transport::Transport {
   int deliver_batch() const { return deliver_batch_; }
 
  private:
-  /// One ring slot. Placement-constructed in the channel arena; the inline
-  /// payload area is the `slot_bytes_` bytes immediately after the struct.
+  /// One ring slot's hot header: the lap word and every MsgHeader field an
+  /// eager cell needs, packed so that it and the first bytes of the inline
+  /// payload share the cell's first cache line. Placement-constructed in the
+  /// channel arena; the inline payload area is the `slot_bytes_` bytes
+  /// immediately after the struct. `dst_rank` and `dst_vci` are not stored:
+  /// the consumer rebuilds them from the channel it polls.
   struct Cell {
-    transport::MsgHeader h;
-    base::Buffer overflow;  ///< engaged when the payload outgrew the slot
+    explicit Cell(std::uint32_t idx) : lap(idx) {}
+    /// idx: free for the producer at head == idx; idx + 1: published;
+    /// idx + cells: consumed, free for the next lap.
+    mc::atomic<std::uint32_t> lap;
     std::uint32_t inline_bytes = 0;
+    transport::MsgKind kind = transport::MsgKind::eager;
+    /// The cell's Cold record carries fields or an overflow buffer.
+    bool cold = false;
+    std::int32_t src_rank = -1;
+    std::int32_t src_vci = 0;
+    std::int32_t context_id = 0;
+    std::int32_t tag = 0;
+    std::uint64_t total_bytes = 0;
 
     std::byte* inline_data() { return reinterpret_cast<std::byte*>(this + 1); }
   };
 
+  /// The rest of a cell, in a parallel array after the cells: written by
+  /// the producer and read by the consumer only when `Cell::cold` is set
+  /// (one of these fields is nonzero, as in control and data cells, or the
+  /// payload overflowed), so an in-slot eager message never touches it.
+  struct alignas(64) Cold {
+    std::uint64_t chunk_offset = 0;
+    std::uint64_t sender_cookie = 0;
+    std::uint64_t recver_cookie = 0;
+    const void* shm_src = nullptr;
+    base::Buffer overflow;  ///< engaged when the payload outgrew the slot
+  };
+
+  /// Every field sits on the line of its one writer.
   struct Channel {
-    // Producer side: any thread holding one of the source rank's VCI locks
+    // Producer line. Any thread holding one of the source rank's VCI locks
     // may push, so producers serialize on this spinlock. The consumer never
-    // takes it — it synchronizes through the head/tail protocol below.
+    // takes it — it synchronizes through the cells' lap words.
     // Rank transport_channel: poll() nests a channel lock inside the
     // pending lock (rank transport) when flushing parked sends.
     mutable base::Spinlock mu{"shm:channel", base::LockRank::transport_channel};
-    /// Next slot to write. Written only by producers (under mu), published
-    /// with release; the consumer's acquire load owns everything below it.
-    alignas(64) mc::atomic<std::uint32_t> head{0};
+    /// Next slot to write; producer-private.
+    std::uint32_t head MPX_GUARDED_BY(mu) = 0;
+
+    // Read-mostly line: written once at first use and on the rare park and
+    // flush, read by both sides on every push and poll.
+    /// Cell arena (cells, then their Cold records), allocated lazily by the
+    /// first producer under mu and published with release; the consumer's
+    /// acquire load skips a channel that has none yet.
+    alignas(64) mc::atomic<std::byte*> arena{nullptr};
     /// Sends bound for this channel parked on their source endpoint's
-    /// pending queue (raised at park, lowered at flush). Shares head's line,
-    /// which the consumer reads every poll anyway: a nonzero value makes
-    /// the consumer flush those queues itself, so parked sends drain even
-    /// when their sender never polls again.
+    /// pending queue (raised at park, lowered at flush). The consumer reads
+    /// it on every poll with `arena`: a nonzero value makes it flush those
+    /// queues itself, so parked sends drain even when their sender never
+    /// polls again.
     // A hint: the flush runs under the endpoint lock, and a stale read only
     // delays it to a later poll. mpxlint: allow(mc-coverage)
     std::atomic<std::uint32_t> waiting{0};
-    /// Next slot to read. Written only by the (externally serialized)
-    /// consumer, once per batch, with release; producers' acquire loads use
-    /// it to detect free slots (slot reuse is ordered by this edge).
+
+    // Consumer line.
+    /// Next slot to read; written only by the (externally serialized)
+    /// consumer. Atomic and relaxed only because idle() reads it from
+    /// other threads; slot reuse is ordered by the lap words, not by tail.
     alignas(64) mc::atomic<std::uint32_t> tail{0};
-    /// Cell arena, allocated lazily by the first producer (under mu; the
-    /// write is ordered for the consumer by the first head release-store
-    /// and for later producers by mu itself).
-    // Publication is ordered by the first head release-store (consumer)
-    // and by mu itself (producers) — see above. mpxlint: allow(tsa-ratchet)
-    std::byte* arena = nullptr;
   };
 
   /// Endpoint state for (rank, vci): the sender-side pending queue and
@@ -216,8 +254,14 @@ class ShmTransport final : public transport::Transport {
   Endpoint& endpoint(int rank, int vci);
   const Endpoint& endpoint(int rank, int vci) const;
 
-  Cell& cell_at(Channel& ch, std::uint32_t idx);
-  void init_arena(Channel& ch) MPX_REQUIRES(ch.mu);
+  Cell& cell_at(std::byte* arena, std::uint32_t idx) const;
+  Cold& cold_at(std::byte* arena, std::uint32_t idx) const;
+  std::byte* init_arena(Channel& ch) MPX_REQUIRES(ch.mu);
+
+  /// Hand the ready cell `idx` of a channel bound for (rank, vci) to `sink`;
+  /// the header's dst_rank and dst_vci are rebuilt from (rank, vci).
+  void deliver(std::byte* arena, std::uint32_t idx, int rank, int vci,
+               transport::TransportSink& sink);
 
   /// Producer push under ch.mu, counted on the source endpoint `src`.
   /// `payload` is copied in-slot; a non-empty `overflow` buffer is moved

@@ -1,6 +1,6 @@
 #include "mpx/shm/shm_transport.hpp"
 
-#include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <new>
 
@@ -22,9 +22,26 @@ std::size_t round_up_pow2(std::size_t n) {
 }
 
 constexpr std::size_t kCellAlign = 64;
+/// Inline payload bytes that share a cell's first line with its header.
+constexpr std::size_t kFirstLinePayload = 24;
 
 std::size_t round_up(std::size_t n, std::size_t align) {
   return (n + align - 1) & ~(align - 1);
+}
+
+constexpr std::size_t line_of(std::size_t offset) {
+  return offset / kCellAlign;
+}
+
+/// Order of the producer's lap-word publish: `mo`, unless weakened.
+std::memory_order publish_order(std::memory_order mo) {
+#if MPX_MODEL_CHECK
+  // Seeded-mutation self-test hook: mc::mut::weak_shm_publish publishes a
+  // cell relaxed, so the consumer's read-out is no longer ordered after the
+  // producer's writes. The mc suite must catch the data race on the cell.
+  if (mc::mut::weak_shm_publish) return std::memory_order_relaxed;
+#endif
+  return mo;
 }
 
 }  // namespace
@@ -41,6 +58,28 @@ ShmTransport::ShmTransport(int nranks, int max_vcis, std::size_t cells,
       ranks_per_node_(ranks_per_node < 1 ? nranks : ranks_per_node),
       channels_(static_cast<std::size_t>(nranks) * nranks * max_vcis),
       endpoints_(static_cast<std::size_t>(nranks) * max_vcis) {
+  // Line ownership. Cells start on 64-byte boundaries (64-aligned arena,
+  // 64-aligned stride), so the lap word, the hot header and the first
+  // payload bytes travel as one line.
+  static_assert(offsetof(Cell, lap) == 0, "the lap word leads the cell");
+  static_assert(sizeof(Cell) + kFirstLinePayload <= kCellAlign,
+                "hot header + first payload bytes fit the cell's first line");
+  static_assert(alignof(Cell) <= kCellAlign && alignof(Cold) == kCellAlign);
+  // A channel's producer-only, read-mostly and consumer-only fields sit on
+  // three distinct lines, each field on the line of its kind.
+  static_assert(alignof(Channel) == kCellAlign);
+  static_assert(line_of(offsetof(Channel, head)) == line_of(0),
+                "head shares the producer spinlock's line");
+  static_assert(line_of(offsetof(Channel, arena)) ==
+                    line_of(offsetof(Channel, waiting)),
+                "arena and waiting share the read-mostly line");
+  static_assert(line_of(offsetof(Channel, arena)) !=
+                        line_of(offsetof(Channel, head)) &&
+                    line_of(offsetof(Channel, arena)) !=
+                        line_of(offsetof(Channel, tail)) &&
+                    line_of(offsetof(Channel, head)) !=
+                        line_of(offsetof(Channel, tail)),
+                "producer, read-mostly and consumer lines are distinct");
   expects(nranks >= 1 && max_vcis >= 1 && cells >= 1,
           "ShmTransport: bad dimensions");
   expects(cells_ <= (std::size_t{1} << 31),
@@ -54,11 +93,13 @@ ShmTransport::ShmTransport(int nranks, int max_vcis, std::size_t cells,
 
 ShmTransport::~ShmTransport() {
   for (Channel& ch : channels_) {
-    if (ch.arena == nullptr) continue;
+    std::byte* arena = ch.arena.load(std::memory_order_acquire);
+    if (arena == nullptr) continue;
     for (std::size_t i = 0; i < cells_; ++i) {
-      cell_at(ch, static_cast<std::uint32_t>(i)).~Cell();
+      cell_at(arena, static_cast<std::uint32_t>(i)).~Cell();
+      cold_at(arena, static_cast<std::uint32_t>(i)).~Cold();
     }
-    ::operator delete(ch.arena, std::align_val_t{kCellAlign});
+    ::operator delete(arena, std::align_val_t{kCellAlign});
   }
 }
 
@@ -81,44 +122,67 @@ const ShmTransport::Endpoint& ShmTransport::endpoint(int rank,
   return endpoints_[static_cast<std::size_t>(rank) * max_vcis_ + vci];
 }
 
-ShmTransport::Cell& ShmTransport::cell_at(Channel& ch, std::uint32_t idx) {
+ShmTransport::Cell& ShmTransport::cell_at(std::byte* arena,
+                                          std::uint32_t idx) const {
   return *reinterpret_cast<Cell*>(
-      ch.arena + static_cast<std::size_t>(idx & (cells_ - 1)) * stride_);
+      arena + static_cast<std::size_t>(idx & (cells_ - 1)) * stride_);
 }
 
-void ShmTransport::init_arena(Channel& ch) {
-  std::byte* arena = static_cast<std::byte*>(
-      ::operator new(cells_ * stride_, std::align_val_t{kCellAlign}));
+ShmTransport::Cold& ShmTransport::cold_at(std::byte* arena,
+                                          std::uint32_t idx) const {
+  return reinterpret_cast<Cold*>(arena + cells_ * stride_)[idx & (cells_ - 1)];
+}
+
+std::byte* ShmTransport::init_arena(Channel& ch) {
+  std::byte* arena = static_cast<std::byte*>(::operator new(
+      cells_ * (stride_ + sizeof(Cold)), std::align_val_t{kCellAlign}));
   for (std::size_t i = 0; i < cells_; ++i) {
-    ::new (static_cast<void*>(arena + i * stride_)) Cell();
+    const auto idx = static_cast<std::uint32_t>(i);
+    ::new (static_cast<void*>(&cell_at(arena, idx))) Cell(idx);
+    ::new (static_cast<void*>(&cold_at(arena, idx))) Cold();
   }
-  // Ordered for the consumer by the first head release-store; ordered for
-  // other producers by ch.mu. The PLAIN annotation lets the model checker
-  // prove that claim across every explored interleaving.
-  MPX_MC_PLAIN_WRITE(&ch.arena, "shm channel arena");
-  ch.arena = arena;
+  ch.arena.store(arena, std::memory_order_release);
+  return arena;
 }
 
 bool ShmTransport::push_cell(Channel& ch, Endpoint& src, const MsgHeader& h,
                              base::ConstByteSpan payload,
                              base::Buffer& overflow) {
-  if (ch.arena == nullptr) init_arena(ch);
-  // ch.mu already orders this load after the previous producer's store;
-  // acquire (free on x86) states that for the model checker, whose relaxed
-  // loads may read values older than a store ordered by a lock. Producers
-  // of one channel include its consumer's thread when it flushes parked
-  // sends (pull_parked).
-  const std::uint32_t hd = ch.head.load(std::memory_order_acquire);
-  const std::uint32_t tl = ch.tail.load(std::memory_order_acquire);
-  if (static_cast<std::size_t>(hd - tl) == cells_) {
+  // ch.mu already orders this load after the first producer's store;
+  // acquire (free on x86) states that for the model checker, whose loads
+  // may read values older than a store ordered by a lock. Producers of one
+  // channel include its consumer's thread when it flushes parked sends
+  // (pull_parked).
+  std::byte* arena = ch.arena.load(std::memory_order_acquire);
+  if (arena == nullptr) arena = init_arena(ch);
+  const std::uint32_t hd = ch.head;
+  Cell& c = cell_at(arena, hd);
+  // Reading `hd` means the consumer freed the cell's previous lap; that
+  // release store orders its read-out before the writes below.
+  if (c.lap.load(std::memory_order_acquire) != hd) {
     src.ring_full.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  Cell& c = cell_at(ch, hd);
   MPX_MC_PLAIN_WRITE(&c, "shm cell");
-  c.h = h;
-  if (overflow.size() != 0) {
-    c.overflow = std::move(overflow);
+  c.kind = h.kind;
+  c.src_rank = h.src_rank;
+  c.src_vci = h.src_vci;
+  c.context_id = h.context_id;
+  c.tag = h.tag;
+  c.total_bytes = h.total_bytes;
+  const bool ovf = overflow.size() != 0;
+  c.cold = ovf || h.chunk_offset != 0 || h.sender_cookie != 0 ||
+           h.recver_cookie != 0 || h.shm_src != nullptr;
+  if (c.cold) {
+    Cold& k = cold_at(arena, hd);
+    MPX_MC_PLAIN_WRITE(&k, "shm cold record");
+    k.chunk_offset = h.chunk_offset;
+    k.sender_cookie = h.sender_cookie;
+    k.recver_cookie = h.recver_cookie;
+    k.shm_src = h.shm_src;
+    if (ovf) k.overflow = std::move(overflow);
+  }
+  if (ovf) {
     c.inline_bytes = 0;
   } else {
     if (!payload.empty()) {
@@ -127,7 +191,8 @@ bool ShmTransport::push_cell(Channel& ch, Endpoint& src, const MsgHeader& h,
     }
     c.inline_bytes = static_cast<std::uint32_t>(payload.size());
   }
-  ch.head.store(hd + 1, std::memory_order_release);
+  c.lap.store(hd + 1, publish_order(std::memory_order_release));
+  ch.head = hd + 1;
   return true;
 }
 
@@ -257,15 +322,17 @@ void ShmTransport::poll(int rank, int vci, transport::TransportSink& sink,
   }
 
   // 2) Deliver arrived cells destined to (rank, vci), at most one batch per
-  // source channel: a single acquire load claims the batch and a single
-  // release store of tail retires it, so the fence cost and the caller's
-  // matcher lock are amortized over the whole batch.
+  // source channel, so the caller's matcher lock is amortized over the
+  // batch. Each cell is claimed by an acquire load of its lap word and
+  // freed for the next lap by a release store once its handler returned;
+  // the consumer-private tail advances once per batch.
   //
   // Re-entrancy guard: a sink handler may re-enter progress (completion
-  // callbacks), which would re-read the not-yet-published tail and deliver
-  // the outer batch's cells twice. The inner call skips delivery; the
-  // outer drain finishes its batch. `delivering` is plain data because the
-  // consumer side of an endpoint is serialized by contract (the VCI lock).
+  // callbacks), which would re-read the not-yet-advanced tail and find a
+  // cell the outer drain is still handling. The inner call skips delivery;
+  // the outer drain finishes its batch. `delivering` is plain data because
+  // the consumer side of an endpoint is serialized by contract (the VCI
+  // lock).
   //
   // A channel with parked sends bound for it gets them flushed from here
   // first (the batch below then delivers what fit): an eager send
@@ -275,31 +342,27 @@ void ShmTransport::poll(int rank, int vci, transport::TransportSink& sink,
   ep.delivering = true;
   std::uint64_t ndelivered = 0;
   bool pulled = false;
+  const auto batch = static_cast<std::uint32_t>(deliver_batch_);
   for (int src = 0; src < nranks_; ++src) {
     Channel& ch = channel(src, rank, vci);
     if (ch.waiting.load(std::memory_order_relaxed) != 0) {
       pulled = pull_parked(src) || pulled;
     }
+    std::byte* arena = ch.arena.load(std::memory_order_acquire);
+    if (arena == nullptr) continue;
     const std::uint32_t t = ch.tail.load(std::memory_order_relaxed);
-    const std::uint32_t h = ch.head.load(std::memory_order_acquire);
-    if (h == t) continue;
-    const std::uint32_t n =
-        std::min<std::uint32_t>(h - t, static_cast<std::uint32_t>(deliver_batch_));
-    MPX_MC_PLAIN_READ(&ch.arena, "shm channel arena");
-    for (std::uint32_t i = 0; i < n; ++i) {
-      Cell& c = cell_at(ch, t + i);
+    std::uint32_t n = 0;
+    for (; n < batch; ++n) {
+      const std::uint32_t idx = t + n;
+      Cell& c = cell_at(arena, idx);
+      if (c.lap.load(std::memory_order_acquire) != idx + 1) break;
       MPX_MC_PLAIN_WRITE(&c, "shm cell");
-      if (c.overflow.size() != 0) {
-        Msg m;
-        m.h = c.h;
-        m.payload = std::move(c.overflow);
-        sink.on_msg(std::move(m));
-      } else {
-        sink.on_msg_inline(
-            c.h, base::ConstByteSpan(c.inline_data(), c.inline_bytes));
-      }
+      deliver(arena, idx, rank, vci, sink);
+      c.lap.store(idx + static_cast<std::uint32_t>(cells_),
+                  std::memory_order_release);
     }
-    ch.tail.store(t + n, std::memory_order_release);
+    if (n == 0) continue;
+    ch.tail.store(t + n, std::memory_order_relaxed);
     ndelivered += n;
     if (n >= 2) ep.batched.fetch_add(1, std::memory_order_relaxed);
   }
@@ -310,6 +373,36 @@ void ShmTransport::poll(int rank, int vci, transport::TransportSink& sink,
   if ((ndelivered != 0 || pulled) && made_progress != nullptr) {
     *made_progress = 1;
   }
+}
+
+void ShmTransport::deliver(std::byte* arena, std::uint32_t idx, int rank,
+                           int vci, transport::TransportSink& sink) {
+  Cell& c = cell_at(arena, idx);
+  MsgHeader h;
+  h.kind = c.kind;
+  h.src_rank = c.src_rank;
+  h.dst_rank = rank;
+  h.src_vci = c.src_vci;
+  h.dst_vci = vci;
+  h.context_id = c.context_id;
+  h.tag = c.tag;
+  h.total_bytes = c.total_bytes;
+  if (c.cold) {
+    Cold& k = cold_at(arena, idx);
+    MPX_MC_PLAIN_WRITE(&k, "shm cold record");
+    h.chunk_offset = k.chunk_offset;
+    h.sender_cookie = k.sender_cookie;
+    h.recver_cookie = k.recver_cookie;
+    h.shm_src = k.shm_src;
+    if (k.overflow.size() != 0) {
+      Msg m;
+      m.h = h;
+      m.payload = std::move(k.overflow);
+      sink.on_msg(std::move(m));
+      return;
+    }
+  }
+  sink.on_msg_inline(h, base::ConstByteSpan(c.inline_data(), c.inline_bytes));
 }
 
 bool ShmTransport::pull_parked(int src) {
@@ -328,9 +421,14 @@ bool ShmTransport::idle(int rank, int vci) const {
   if (ep.count.load(std::memory_order_acquire) != 0) return false;
   for (int src = 0; src < nranks_; ++src) {
     const Channel& ch = channel(src, rank, vci);
-    if (ch.waiting.load(std::memory_order_relaxed) != 0 ||
-        ch.head.load(std::memory_order_acquire) !=
-            ch.tail.load(std::memory_order_acquire)) {
+    if (ch.waiting.load(std::memory_order_relaxed) != 0) return false;
+    std::byte* arena = ch.arena.load(std::memory_order_acquire);
+    if (arena == nullptr) continue;
+    // Empty while the cell at tail still waits for its producer. A stale
+    // tail (read from another thread) finds its cell a lap ahead and reads
+    // busy, which costs one poll, never a missed message.
+    const std::uint32_t t = ch.tail.load(std::memory_order_relaxed);
+    if (cell_at(arena, t).lap.load(std::memory_order_acquire) != t) {
       return false;
     }
   }

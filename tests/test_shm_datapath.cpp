@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstring>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -95,7 +96,7 @@ TEST(ShmDatapath, BatchedDeliveryCountersSurfaceThroughWorldStats) {
     c0.isend(v.data(), v.size(), dtype::Datatype::byte(), 1, i);
   }
   // One receiver progress pass drains all kN cells (deliver_batch=16)
-  // under a single acquire/publish pair -> one batched delivery.
+  // from one channel -> one batched delivery.
   std::vector<std::uint8_t> r(64, 0);
   for (int i = 0; i < kN; ++i) {
     c1.recv(r.data(), r.size(), dtype::Datatype::byte(), 0, i);
@@ -300,5 +301,178 @@ TEST(ShmDatapath, FanInCountersExactAndPairsDrain) {
     for (int a = 0; a < 4; ++a) {
       for (int b = 0; b < 4; ++b) EXPECT_EQ(topo.inflight(a, b), 0);
     }
+  }
+}
+
+namespace {
+
+// Records every arrival with the path it took (inline view or owned Msg).
+struct HeaderSink final : transport::TransportSink {
+  struct Arrival {
+    transport::MsgHeader h;
+    std::vector<std::byte> payload;
+    bool inline_view = false;
+  };
+  std::vector<Arrival> got;
+  void on_msg(transport::Msg&& m) override {
+    const base::ConstByteSpan p = m.payload.span();
+    got.push_back({m.h, {p.begin(), p.end()}, false});
+  }
+  void on_msg_inline(const transport::MsgHeader& h,
+                     base::ConstByteSpan p) override {
+    got.push_back({h, {p.begin(), p.end()}, true});
+  }
+  void on_send_complete(std::uint64_t) override {}
+};
+
+std::vector<std::byte> bytes(int seed, std::size_t n) {
+  std::vector<std::byte> v(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    v[j] = static_cast<std::byte>(seed * 37 + static_cast<int>(j) * 11 + 3);
+  }
+  return v;
+}
+
+void expect_same_header(const transport::MsgHeader& a,
+                        const transport::MsgHeader& b) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.src_rank, b.src_rank);
+  EXPECT_EQ(a.dst_rank, b.dst_rank);
+  EXPECT_EQ(a.src_vci, b.src_vci);
+  EXPECT_EQ(a.dst_vci, b.dst_vci);
+  EXPECT_EQ(a.context_id, b.context_id);
+  EXPECT_EQ(a.tag, b.tag);
+  EXPECT_EQ(a.total_bytes, b.total_bytes);
+  EXPECT_EQ(a.chunk_offset, b.chunk_offset);
+  EXPECT_EQ(a.sender_cookie, b.sender_cookie);
+  EXPECT_EQ(a.recver_cookie, b.recver_cookie);
+  EXPECT_EQ(a.shm_src, b.shm_src);
+}
+
+}  // namespace
+
+// A ring cell splits its header into a hot part on the cell's first line
+// and a cold record read only when needed, and the receiver rebuilds
+// dst_rank/dst_vci from the polled channel. One cell of every kind must
+// still arrive with every MsgHeader field and payload byte unchanged.
+TEST(ShmDatapath, EveryHeaderFieldRoundTrips) {
+  shm::ShmTransport t(/*nranks=*/3, /*max_vcis=*/3, /*cells=*/16);
+  ASSERT_EQ(t.slot_bytes(), 280u);  // default in-slot capacity
+
+  const int exporters[2] = {0, 0};  // distinct shm_src addresses
+  struct Case {
+    const char* name;
+    transport::MsgHeader h;
+    std::vector<std::byte> payload;
+    bool eager_api;    // send_eager (copies the payload) or send (owned Msg)
+    bool expect_inline;
+  };
+  const auto header = [](transport::MsgKind kind, int seed) {
+    transport::MsgHeader h;
+    h.kind = kind;
+    h.src_rank = 2;
+    h.dst_rank = 1;
+    h.src_vci = 1;
+    h.dst_vci = 2;
+    h.context_id = 0x5a5a0000 + seed;
+    h.tag = -7 - seed;  // negative tags must survive too
+    h.total_bytes = 0x1'0000'0000ull + static_cast<std::uint64_t>(seed);
+    return h;
+  };
+  std::vector<Case> cases;
+  {
+    Case c{"eager in-slot", header(transport::MsgKind::eager, 1),
+           bytes(1, 200), true, true};
+    c.h.total_bytes = 200;
+    cases.push_back(c);
+  }
+  {
+    Case c{"eager overflow", header(transport::MsgKind::eager, 2),
+           bytes(2, 1000), true, false};
+    c.h.total_bytes = 1000;
+    cases.push_back(c);
+  }
+  {
+    Case c{"eager in-slot with cookie", header(transport::MsgKind::eager, 3),
+           bytes(3, 24), true, true};
+    c.h.sender_cookie = 0xfeedface'00000003ull;
+    cases.push_back(c);
+  }
+  {
+    Case c{"rts", header(transport::MsgKind::rts, 4), {}, false, true};
+    c.h.shm_src = &exporters[0];
+    c.h.sender_cookie = 0xabcdef01'23456789ull;
+    cases.push_back(c);
+  }
+  {
+    // Each cold field also travels alone (here, the exporter address).
+    Case c{"rts, exporter only", header(transport::MsgKind::rts, 9), {},
+           false, true};
+    c.h.shm_src = &exporters[1];
+    cases.push_back(c);
+  }
+  {
+    Case c{"cts", header(transport::MsgKind::cts, 5), {}, false, true};
+    c.h.sender_cookie = 0x1111'2222'3333'4444ull;
+    c.h.recver_cookie = 0x5555'6666'7777'8888ull;
+    cases.push_back(c);
+  }
+  {
+    Case c{"cts, receiver cookie only", header(transport::MsgKind::cts, 10),
+           {}, false, true};
+    c.h.recver_cookie = 0x0000'0000'0000'0001ull;
+    cases.push_back(c);
+  }
+  {
+    Case c{"data in-slot", header(transport::MsgKind::data, 6), bytes(6, 64),
+           false, true};
+    c.h.chunk_offset = 0x2'0000'0040ull;
+    cases.push_back(c);
+  }
+  {
+    Case c{"data overflow", header(transport::MsgKind::data, 7),
+           bytes(7, 4096), false, false};
+    c.h.chunk_offset = 8192;
+    c.h.recver_cookie = 0x0ddba11ull;
+    cases.push_back(c);
+  }
+  {
+    Case c{"ack", header(transport::MsgKind::ack, 8), {}, false, true};
+    c.h.sender_cookie = 0x00c0ffee'00000008ull;
+    cases.push_back(c);
+  }
+
+  // Three rounds over a 16-cell ring, rotated so that a cell reused on a
+  // later lap held a different kind before: a plain eager cell must not
+  // pick up the cold fields an earlier control cell left in its record.
+  for (std::size_t round = 0; round < 3; ++round) {
+    std::vector<const Case*> order;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      order.push_back(&cases[(i + 3 * round) % cases.size()]);
+    }
+    for (const Case* c : order) {
+      const base::ConstByteSpan p(c->payload.data(), c->payload.size());
+      if (c->eager_api) {
+        ASSERT_TRUE(t.send_eager(c->h, p, 0)) << c->name;
+      } else {
+        transport::Msg m;
+        m.h = c->h;
+        m.payload = base::Buffer::copy_of(p);
+        ASSERT_TRUE(t.send(std::move(m), 0)) << c->name;
+      }
+    }
+    HeaderSink sink;
+    t.poll(0, 2, sink, nullptr);  // the wrong endpoint sees nothing
+    EXPECT_TRUE(sink.got.empty());
+    t.poll(1, 2, sink, nullptr);
+    ASSERT_EQ(sink.got.size(), order.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      SCOPED_TRACE(std::string(order[i]->name) + ", round " +
+                   std::to_string(round));
+      expect_same_header(sink.got[i].h, order[i]->h);
+      EXPECT_EQ(sink.got[i].payload, order[i]->payload);
+      EXPECT_EQ(sink.got[i].inline_view, order[i]->expect_inline);
+    }
+    EXPECT_TRUE(t.idle(1, 2));
   }
 }
